@@ -234,69 +234,99 @@ let largest_remainder ~mass ~lo ~hi ~target =
   end;
   base
 
-let solve_block ?x0 ?(shave = false) sup =
-  let a = constraint_matrix () in
-  let row_lo, row_hi = row_bounds sup in
-  let box0 =
-    Intervals.make ~n:n_cells ~lo:0. ~hi:(float_of_int sup.s_total)
+(* Row equilibration: the total row touches all 2400 cells while a
+   single-year age row touches 24, so unweighted the total row owns the
+   Lipschitz constant and the 1/L gradient step barely moves the iterate
+   along any other direction. Weighting each row by 1/√nnz levels the
+   spectrum and makes the iteration count meaningful. *)
+let equilibrate af =
+  let w =
+    Array.init n_rows (fun r ->
+        let c = Sparse.row_nnz af r in
+        if c = 0 then 0. else 1. /. sqrt (float_of_int c))
   in
+  (w, Sparse.scale_rows af ~w)
+
+(* A block where propagation pins no cell — every block at a positive
+   threshold whose zeros hide among small counts — solves the full
+   equilibrated system, identical across blocks. Its weights, matrix and
+   power-iteration step are computed once, eagerly for the same
+   domain-safety reason as [matrix] (a few milliseconds). *)
+let unpinned_w, unpinned_system = equilibrate matrix
+
+let unpinned_lipschitz = Lsq.lipschitz_op (Lsq.of_sparse unpinned_system)
+
+let[@inline] clamp_cell (bounds : Intervals.t) j v =
+  Float.max bounds.Intervals.lo.(j) (Float.min bounds.Intervals.hi.(j) v)
+
+(* The interval-propagated per-cell bounds of a block, which both the
+   solver and the warm seed respect. *)
+let cell_bounds a sup =
+  let row_lo, row_hi = row_bounds sup in
+  let box0 = Intervals.make ~n:n_cells ~lo:0. ~hi:(float_of_int sup.s_total) in
   let bounds =
     match Intervals.propagate a ~row_lo ~row_hi box0 with
     | `Bounded b -> b
     | `Empty _ -> box0 (* unreachable on truthfully tabulated bounds *)
   in
+  (row_lo, row_hi, bounds)
+
+let solve_block ?x0 ?(shave = false) sup =
+  let a = constraint_matrix () in
+  let row_lo, row_hi, bounds = cell_bounds a sup in
   let bounds = if shave then Intervals.shave a ~row_lo ~row_hi bounds else bounds in
+  let lo = bounds.Intervals.lo and hi = bounds.Intervals.hi in
   let fixed_cells = Intervals.fixed_count bounds in
-  let relaxed = Array.make n_cells 0. in
-  for j = 0 to n_cells - 1 do
-    relaxed.(j) <- bounds.Intervals.lo.(j)
-  done;
+  let relaxed = Array.copy lo in
   let iterations, converged =
     if fixed_cells = n_cells then (0, true)
     else begin
-      let free = Array.make (n_cells - fixed_cells) 0 in
+      let n_free = n_cells - fixed_cells in
+      let free = Array.make n_free 0 in
       let k = ref 0 in
       for j = 0 to n_cells - 1 do
-        if not (Intervals.is_fixed bounds j) then begin
+        if lo.(j) <> hi.(j) then begin
           free.(!k) <- j;
           incr k
         end
       done;
-      let af = Sparse.restrict_cols a ~keep:free in
-      (* Row equilibration: the total row touches all 2400 cells while a
-         single-year age row touches 24, so unweighted the total row owns
-         the Lipschitz constant and the 1/L gradient step barely moves the
-         iterate along any other direction. Weighting each row by 1/√nnz
-         levels the spectrum and makes the iteration count meaningful. *)
-      let w =
-        Array.init n_rows (fun r ->
-            let c = Sparse.row_nnz af r in
-            if c = 0 then 0. else 1. /. sqrt (float_of_int c))
+      let w, af, lipschitz =
+        if fixed_cells = 0 then
+          (unpinned_w, unpinned_system, Some unpinned_lipschitz)
+        else
+          let w, af = equilibrate (Sparse.restrict_cols a ~keep:free) in
+          (w, af, None)
       in
-      let af = Sparse.scale_rows af ~w in
       (* Aim each row at its consistent target, with the pinned cells'
          contribution moved to the right-hand side. *)
       let targets = row_targets sup in
+      let row_ptr = Sparse.row_ptr a
+      and col_idx = Sparse.col_idx a
+      and values = Sparse.values a in
       let b = Array.make n_rows 0. in
       for r = 0 to n_rows - 1 do
-        let fixed_contrib =
-          Sparse.fold_row a r ~init:0. ~f:(fun acc j v ->
-              if Intervals.is_fixed bounds j then
-                acc +. (v *. bounds.Intervals.lo.(j))
-              else acc)
-        in
-        b.(r) <- w.(r) *. (targets.(r) -. fixed_contrib)
+        let fixed_contrib = ref 0. in
+        for p = row_ptr.(r) to row_ptr.(r + 1) - 1 do
+          let j = col_idx.(p) in
+          if lo.(j) = hi.(j) then
+            fixed_contrib := !fixed_contrib +. (values.(p) *. lo.(j))
+        done;
+        b.(r) <- w.(r) *. (targets.(r) -. !fixed_contrib)
       done;
-      let lo_f = Array.map (fun j -> bounds.Intervals.lo.(j)) free in
-      let hi_f = Array.map (fun j -> bounds.Intervals.hi.(j)) free in
-      let x0_f =
-        Option.map (fun x0 -> Array.map (fun j -> x0.(j)) free) x0
+      let gather (v : float array) =
+        let out = Array.make n_free 0. in
+        for i = 0 to n_free - 1 do
+          out.(i) <- v.(free.(i))
+        done;
+        out
       in
       let sol =
-        Lsq.box ~options:solver_options ?x0:x0_f (Lsq.of_sparse af) b ~lo:lo_f
-          ~hi:hi_f
+        Lsq.box ~options:solver_options ?x0:(Option.map gather x0) ?lipschitz
+          (Lsq.of_sparse af) b ~lo:(gather lo) ~hi:(gather hi)
       in
-      Array.iteri (fun i j -> relaxed.(j) <- sol.Lsq.x.(i)) free;
+      for i = 0 to n_free - 1 do
+        relaxed.(free.(i)) <- sol.Lsq.x.(i)
+      done;
       (sol.Lsq.iterations, sol.Lsq.converged)
     end
   in
@@ -307,80 +337,107 @@ let solve_block ?x0 ?(shave = false) sup =
      fractional and naive rounding emits zero records. Then each age's
      target is placed onto its 24 cells within the propagated bounds. *)
   let counts = Array.make n_cells 0 in
-  let cells_by_age = age_cells_table in
-  let age_mass =
-    Array.map
-      (fun cells -> Array.fold_left (fun acc j -> acc +. relaxed.(j)) 0. cells)
-      cells_by_age
-  in
+  let age_mass = Array.make n_age 0. in
+  for age = 0 to n_age - 1 do
+    let cells = age_cells_table.(age) in
+    let acc = ref 0. in
+    for i = 0 to Array.length cells - 1 do
+      acc := !acc +. relaxed.(cells.(i))
+    done;
+    age_mass.(age) <- !acc
+  done;
   let age_targets =
     largest_remainder ~mass:age_mass
       ~lo:(Array.map (fun b -> float_of_int b.b_lo) sup.s_age)
       ~hi:(Array.map (fun b -> float_of_int b.b_hi) sup.s_age)
       ~target:sup.s_total
   in
+  let per_age = Array.length age_cells_table.(0) in
+  let mass = Array.make per_age 0.
+  and cell_lo = Array.make per_age 0.
+  and cell_hi = Array.make per_age 0. in
   for age = 0 to n_age - 1 do
-    let cells = cells_by_age.(age) in
+    let cells = age_cells_table.(age) in
+    for i = 0 to per_age - 1 do
+      let j = cells.(i) in
+      mass.(i) <- relaxed.(j);
+      cell_lo.(i) <- lo.(j);
+      cell_hi.(i) <- hi.(j)
+    done;
     let placed =
-      largest_remainder
-        ~mass:(Array.map (fun j -> relaxed.(j)) cells)
-        ~lo:(Array.map (fun j -> bounds.Intervals.lo.(j)) cells)
-        ~hi:(Array.map (fun j -> bounds.Intervals.hi.(j)) cells)
-        ~target:age_targets.(age)
+      largest_remainder ~mass ~lo:cell_lo ~hi:cell_hi ~target:age_targets.(age)
     in
-    Array.iteri (fun i j -> counts.(j) <- placed.(i)) cells
+    for i = 0 to per_age - 1 do
+      counts.(cells.(i)) <- placed.(i)
+    done
   done;
   { counts; relaxed; iterations; converged; fixed_cells }
+
+(* The row of each raked family that a cell counts toward: its age row,
+   its sex×decade row and its race×ethnicity row. Eager, like [matrix]. *)
+let age_row_of_cell =
+  Array.init n_cells (fun j -> row_age (j / (n_race * n_eth) mod n_age))
+
+let sex_bucket_row_of_cell =
+  Array.init n_cells (fun j ->
+      let age = j / (n_race * n_eth) mod n_age in
+      row_sex_bucket (j / (n_age * n_race * n_eth)) (age / 10))
+
+let race_eth_row_of_cell =
+  Array.init n_cells (fun j ->
+      let i = j mod (n_race * n_eth) in
+      row_race_eth (i / n_eth) (i mod n_eth))
+
+(* One capped proportional rescale of a marginal family: sum each row's
+   cells in ascending cell order, then scale every cell of a row with
+   positive mass by target / sum, clamped into its bounds. [sums] is a
+   reused buffer of length [n_rows]. *)
+let rake ~row_of ~targets ~sums bounds x =
+  Array.fill sums 0 n_rows 0.;
+  for j = 0 to n_cells - 1 do
+    let r = row_of.(j) in
+    sums.(r) <- sums.(r) +. x.(j)
+  done;
+  for j = 0 to n_cells - 1 do
+    let r = row_of.(j) in
+    let s = sums.(r) in
+    if s > 1e-9 then x.(j) <- clamp_cell bounds j (x.(j) *. targets.(r) /. s)
+  done
 
 (* Rake (iterative proportional fitting) a neighboring block's relaxed
    solution onto this block's published row targets: each sweep rescales
    the mass of every age, sex×decade and race×ethnicity row to the row's
-   interval midpoint, then the whole vector to the exact block total.
+   consistent target, then the whole vector to the exact block total.
    Neighboring blocks differ in exactly those marginals — carrying the
    neighbor's joint structure while conforming its marginals is what makes
    the seed a genuine warm start instead of a misleading one. *)
 let warm_seed sup relaxed =
   let targets = row_targets sup in
-  let a = constraint_matrix () in
-  let row_lo, row_hi = row_bounds sup in
   (* The same propagated per-cell bounds the solver will clamp the seed
      into: raking must respect them, or the clamp undoes the raked
      marginals and the "warm" start lands farther out than the cold one.
      A capped proportional rescale is water-filling; iterating the sweeps
      redistributes the capped excess onto the remaining cells. *)
-  let box0 = Intervals.make ~n:n_cells ~lo:0. ~hi:(float_of_int sup.s_total) in
-  let bounds =
-    match Intervals.propagate a ~row_lo ~row_hi box0 with
-    | `Bounded b -> b
-    | `Empty _ -> box0
-  in
-  let clamp j v =
-    Float.max bounds.Intervals.lo.(j) (Float.min bounds.Intervals.hi.(j) v)
-  in
-  let x = Array.mapi (fun j v -> clamp j (Float.max v 1e-6)) relaxed in
-  let rake ~groups ~group ~target =
-    let sums = Array.make groups 0. in
-    Array.iteri (fun j v -> sums.(group j) <- sums.(group j) +. v) x;
-    Array.iteri
-      (fun j v ->
-        let g = group j in
-        if sums.(g) > 1e-9 then x.(j) <- clamp j (v *. target g /. sums.(g)))
-      x
-  in
-  let age_of j = j / (n_race * n_eth) mod n_age in
-  let sex_of j = j / (n_age * n_race * n_eth) in
+  let _, _, bounds = cell_bounds (constraint_matrix ()) sup in
+  let x = Array.make n_cells 0. in
+  for j = 0 to n_cells - 1 do
+    x.(j) <- clamp_cell bounds j (Float.max relaxed.(j) 1e-6)
+  done;
+  let sums = Array.make n_rows 0. in
+  let block_total = float_of_int sup.s_total in
   for _sweep = 1 to 8 do
-    rake ~groups:n_age ~group:age_of ~target:(fun a -> targets.(row_age a));
-    rake ~groups:(n_sex * 10)
-      ~group:(fun j -> (sex_of j * 10) + (age_of j / 10))
-      ~target:(fun i -> targets.(row_sex_bucket (i / 10) (i mod 10)));
-    rake ~groups:(n_race * n_eth)
-      ~group:(fun j -> j mod (n_race * n_eth))
-      ~target:(fun i -> targets.(row_race_eth (i / n_eth) (i mod n_eth)));
-    let total = Array.fold_left ( +. ) 0. x in
-    if total > 1e-9 then begin
-      let s = float_of_int sup.s_total /. total in
-      Array.iteri (fun j v -> x.(j) <- clamp j (v *. s)) x
+    rake ~row_of:age_row_of_cell ~targets ~sums bounds x;
+    rake ~row_of:sex_bucket_row_of_cell ~targets ~sums bounds x;
+    rake ~row_of:race_eth_row_of_cell ~targets ~sums bounds x;
+    let total = ref 0. in
+    for j = 0 to n_cells - 1 do
+      total := !total +. x.(j)
+    done;
+    if !total > 1e-9 then begin
+      let s = block_total /. !total in
+      for j = 0 to n_cells - 1 do
+        x.(j) <- clamp_cell bounds j (x.(j) *. s)
+      done
     end
   done;
   x

@@ -16,11 +16,12 @@
     rows; {!Linalg.Intervals} propagation pins most cells outright, the
     pinned columns are eliminated, and the surviving free cells go to the
     warm-started sparse box least-squares solver. Within a shard each
-    block warm-starts from its neighbor's relaxed solution, rescaled per
-    (race, ethnicity) group to this block's published race×eth row — the
-    age×sex shape transfers between blocks, the racial composition does
-    not — which cuts projected-gradient iterations; the [census.*] and
-    [linalg.lsq_{warm,cold}_iterations] counters expose the effect.
+    block warm-starts from its neighbor's relaxed solution, raked onto this
+    block's published age, sex×decade and race×ethnicity rows and its
+    exact total (see {!warm_seed}) — the neighbor's joint structure
+    transfers, its marginals do not — which cuts projected-gradient
+    iterations; the [census.*] and [linalg.lsq_{warm,cold}_iterations]
+    counters expose the effect.
 
     Determinism: block [b]'s generator is derived by sequential
     {!Prob.Rng.split}s from its shard's generator, and shard results
@@ -58,6 +59,17 @@ val constraint_matrix : unit -> Linalg.Sparse.t
 (** The shared 133×2400 0/1 system relating joint cells to the published
     marginal rows. Built once, reused by every block. *)
 
+val row_bounds : suppressed -> float array * float array
+(** Per-row [(lo, hi)] bounds of the shared system, rows in the order of
+    {!constraint_matrix}: the total, ages 0–99, the sex×decade cells
+    ([sex*10 + decade]), the race×ethnicity cells ([race*2 + eth]). *)
+
+val row_targets : suppressed -> float array
+(** Consistent least-squares targets per row: exact rows keep their
+    count, and each family's suppressed rows share the rest of the block
+    total in proportion to their interval midpoints, clipped into the
+    interval. *)
+
 type block_solution = {
   counts : int array;  (** length [n_cells]: reconstructed joint cells *)
   relaxed : float array;  (** the pre-rounding LS solution — warm-start seed *)
@@ -69,8 +81,9 @@ type block_solution = {
 val warm_seed : suppressed -> float array -> float array
 (** [warm_seed sup relaxed] rakes a neighboring block's relaxed solution
     onto [sup]'s published row targets (iterative proportional fitting:
-    three sweeps over the age, sex×decade and race×ethnicity rows plus
-    the exact total), producing the [?x0] seed {!run} passes to
+    eight sweeps, each rescaling the age, sex×decade and race×ethnicity
+    rows and then the exact total, every rescale clamped into the
+    propagated cell bounds), producing the [?x0] seed {!run} passes to
     {!solve_block}. The neighbor's joint structure is kept; its marginals
     are replaced by this block's. *)
 
@@ -81,7 +94,11 @@ val solve_block :
     elimination of the pinned cells, warm-started ([?x0], a full
     [n_cells]-length relaxed solution) sparse box least squares on the
     free cells, then per-age-row largest-remainder rounding back to
-    integer counts consistent with the published age histogram. *)
+    integer counts consistent with the published age histogram.
+
+    When propagation pins no cell, every block solves the same
+    equilibrated system, so its step size is computed once per process;
+    the result is bit-identical to estimating it per block. *)
 
 type config = {
   blocks : int;

@@ -21,9 +21,9 @@ let fixed_count b =
    above/below an integer (from float division) still admits that integer. *)
 let eps = 1e-9
 
-let round_lo ~integral v = if integral then Float.ceil (v -. eps) else v
+let[@inline] round_lo ~integral v = if integral then Float.ceil (v -. eps) else v
 
-let round_hi ~integral v = if integral then Float.floor (v +. eps) else v
+let[@inline] round_hi ~integral v = if integral then Float.floor (v +. eps) else v
 
 let propagate ?(integral = true) ?(max_passes = 50) a ~row_lo ~row_hi box =
   let m = Sparse.rows a and n = Sparse.cols a in
@@ -31,6 +31,9 @@ let propagate ?(integral = true) ?(max_passes = 50) a ~row_lo ~row_hi box =
     invalid_arg "Intervals.propagate: row bound dimension mismatch";
   if Array.length box.lo <> n || Array.length box.hi <> n then
     invalid_arg "Intervals.propagate: box dimension mismatch";
+  let row_ptr = Sparse.row_ptr a
+  and col_idx = Sparse.col_idx a
+  and values = Sparse.values a in
   let lo = Array.make n 0. and hi = Array.make n 0. in
   for j = 0 to n - 1 do
     lo.(j) <- round_lo ~integral box.lo.(j);
@@ -47,32 +50,39 @@ let propagate ?(integral = true) ?(max_passes = 50) a ~row_lo ~row_hi box =
     incr pass;
     let r = ref 0 in
     while !empty < 0 && !r < m do
+      (* Direct CSR loops: row sums in ascending column order, then the
+         per-entry rule against those (pass-start) sums. *)
+      let row = !r in
+      let first = row_ptr.(row) and last = row_ptr.(row + 1) - 1 in
       let s_lo = ref 0. and s_hi = ref 0. in
-      Sparse.iter_row a !r ~f:(fun j v ->
-          if v < 0. then invalid_arg "Intervals.propagate: negative coefficient";
-          s_lo := !s_lo +. (v *. lo.(j));
-          s_hi := !s_hi +. (v *. hi.(j)));
-      Sparse.iter_row a !r ~f:(fun j v ->
-          if !empty < 0 && v > 0. then begin
-            (* others' max contribution leaves this much for x_j at least *)
-            let new_lo =
-              round_lo ~integral
-                ((row_lo.(!r) -. (!s_hi -. (v *. hi.(j)))) /. v)
-            in
-            let new_hi =
-              round_hi ~integral
-                ((row_hi.(!r) -. (!s_lo -. (v *. lo.(j)))) /. v)
-            in
-            if new_lo > lo.(j) then begin
-              lo.(j) <- new_lo;
-              changed := true
-            end;
-            if new_hi < hi.(j) then begin
-              hi.(j) <- new_hi;
-              changed := true
-            end;
-            if lo.(j) > hi.(j) then empty := j
-          end);
+      for k = first to last do
+        let j = col_idx.(k) and v = values.(k) in
+        if v < 0. then invalid_arg "Intervals.propagate: negative coefficient";
+        s_lo := !s_lo +. (v *. lo.(j));
+        s_hi := !s_hi +. (v *. hi.(j))
+      done;
+      let s_lo = !s_lo and s_hi = !s_hi in
+      for k = first to last do
+        let j = col_idx.(k) and v = values.(k) in
+        if !empty < 0 && v > 0. then begin
+          (* others' max contribution leaves this much for x_j at least *)
+          let new_lo =
+            round_lo ~integral ((row_lo.(row) -. (s_hi -. (v *. hi.(j)))) /. v)
+          in
+          let new_hi =
+            round_hi ~integral ((row_hi.(row) -. (s_lo -. (v *. lo.(j)))) /. v)
+          in
+          if new_lo > lo.(j) then begin
+            lo.(j) <- new_lo;
+            changed := true
+          end;
+          if new_hi < hi.(j) then begin
+            hi.(j) <- new_hi;
+            changed := true
+          end;
+          if lo.(j) > hi.(j) then empty := j
+        end
+      done;
       incr r
     done
   done;

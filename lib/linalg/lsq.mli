@@ -16,7 +16,10 @@
 
 type options = {
   max_iter : int;  (** iteration cap *)
-  tolerance : float;  (** stop when the (projected) gradient norm drops below this *)
+  tolerance : float;
+      (** {!box} stops when one projected-gradient step moves the iterate
+          less than this, [‖z_(k+1) − z_k‖ < tolerance]; {!cg} stops when
+          the residual norm drops below it *)
 }
 
 val default_options : options
@@ -24,10 +27,14 @@ val default_options : options
 type op = {
   op_rows : int;
   op_cols : int;
-  apply : Vector.t -> Vector.t;  (** [A x] *)
-  tapply : Vector.t -> Vector.t;  (** [Aᵀ y] *)
+  apply_into : Vector.t -> Vector.t -> unit;
+      (** [apply_into x y] stores [A x] into [y] *)
+  tapply_into : Vector.t -> Vector.t -> unit;
+      (** [tapply_into y out] stores [Aᵀ y] into [out] *)
 }
-(** A linear operator given by its forward and transpose applications. *)
+(** A linear operator given by its forward and transpose applications,
+    both writing into caller-owned buffers so the solvers' loops allocate
+    nothing. *)
 
 val of_matrix : Matrix.t -> op
 
@@ -52,6 +59,7 @@ val conjugate_gradient :
 val box :
   ?options:options ->
   ?x0:Vector.t ->
+  ?lipschitz:float ->
   op ->
   Vector.t ->
   lo:Vector.t ->
@@ -61,7 +69,11 @@ val box :
     per-coordinate box [∏ \[lo.(i), hi.(i)\]] by projected gradient descent
     with a Lipschitz step size estimated by power iteration on [AᵀA].
     Starts from [x0] clamped into the box when given, else from the box
-    midpoint. Raises [Invalid_argument] if some [hi.(i) < lo.(i)]. *)
+    midpoint. [?lipschitz] supplies {!lipschitz_op}[ o] when the caller
+    already knows it (the same operator solved repeatedly), skipping the
+    power iteration; the result is the same as without it. Each step
+    runs in preallocated buffers. Raises [Invalid_argument] if some
+    [hi.(i) < lo.(i)]. *)
 
 val solve_box :
   ?options:options ->
@@ -91,4 +103,3 @@ val lipschitz_op : op -> float
 val residual : Matrix.t -> Vector.t -> Vector.t -> float
 (** [residual a z b] is [‖A z − b‖²]. *)
 
-val residual_op : op -> Vector.t -> Vector.t -> float

@@ -34,6 +34,14 @@ val mul_vec : t -> Vector.t -> Vector.t
 val tmul_vec : t -> Vector.t -> Vector.t
 (** [tmul_vec a y] is [Aᵀ y]. *)
 
+val mul_vec_into : t -> Vector.t -> Vector.t -> unit
+(** [mul_vec_into a x y] stores [A x] into [y] with no allocation; same
+    bits as {!mul_vec}. *)
+
+val tmul_vec_into : t -> Vector.t -> Vector.t -> unit
+(** [tmul_vec_into a y out] stores [Aᵀ y] into [out] (zeroing it first)
+    with no allocation; same bits as {!tmul_vec}. *)
+
 val mul : t -> t -> t
 (** Matrix product. *)
 

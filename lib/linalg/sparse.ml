@@ -24,6 +24,12 @@ let nnz t = t.row_ptr.(t.m)
 
 let row_nnz t i = t.row_ptr.(i + 1) - t.row_ptr.(i)
 
+let row_ptr t = t.row_ptr
+
+let col_idx t = t.col_idx
+
+let values t = t.values
+
 let of_rows ~cols:n rows_l =
   if n < 0 then invalid_arg "Sparse.of_rows: negative cols";
   let m = Array.length rows_l in
@@ -133,18 +139,6 @@ let to_matrix t =
     done
   done;
   a
-
-let fold_row t i ~init ~f =
-  let acc = ref init in
-  for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-    acc := f !acc t.col_idx.(k) t.values.(k)
-  done;
-  !acc
-
-let iter_row t i ~f =
-  for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-    f t.col_idx.(k) t.values.(k)
-  done
 
 let mul_vec_into t x y =
   if Array.length x <> t.n then invalid_arg "Sparse.mul_vec: dimension mismatch";

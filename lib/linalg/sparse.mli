@@ -35,11 +35,16 @@ val nnz : t -> int
 val row_nnz : t -> int -> int
 (** Number of stored entries in one row. *)
 
-val fold_row : t -> int -> init:'a -> f:('a -> int -> float -> 'a) -> 'a
-(** [fold_row a i ~init ~f] folds [f acc j a_ij] over the stored entries of
-    row [i] in ascending column order, without copying. *)
+val row_ptr : t -> int array
+(** The CSR arrays themselves, shared with [t] and not copied — read
+    them, never write them. Row [i]'s entries occupy positions
+    [row_ptr.(i) .. row_ptr.(i+1) - 1] of {!col_idx} (ascending columns)
+    and {!values}. Row loops outside this module read these directly: a
+    per-entry callback would box every float it passes. *)
 
-val iter_row : t -> int -> f:(int -> float -> unit) -> unit
+val col_idx : t -> int array
+
+val values : t -> float array
 
 val mul_vec : t -> Vector.t -> Vector.t
 (** [mul_vec a x] is [A x] via the C SpMV kernel. Raises [Invalid_argument]

@@ -17,10 +17,11 @@ let sk_cost = Obs.Sketchm.make "query.cost_rows"
 
 let sk_latency = Obs.Sketchm.make ~timing:true "query.latency_ns"
 
-(* Journal one mechanism run. The digest is precomputed at mechanism
-   construction (lazily — construction happens once, runs happen per
-   trial) so the per-run cost when the ledger is off stays one flag
-   read. *)
+(* Journal one mechanism run. The digest is computed once, eagerly, at
+   mechanism construction: runs happen per trial on the pool's worker
+   domains, and a [lazy] forced from two domains at once raises
+   [CamlinternalLazy.Undefined]. When the ledger is off a run costs one
+   flag read. *)
 let log_run ~digest ~noised ~cost f =
   if not (Obs.enabled () || Obs.Ledger.enabled ()) then f ()
   else begin
@@ -29,14 +30,14 @@ let log_run ~digest ~noised ~cost f =
     Obs.Sketchm.observe sk_latency (Int64.to_float (Int64.sub (Obs.now_ns ()) t0));
     Obs.Sketchm.observe sk_cost (float_of_int cost);
     Obs.Ledger.query ~analyst:Obs.Ledger.ambient_analyst ~kind:"mechanism"
-      ~digest:(Lazy.force digest)
+      ~digest
       ~engine:(Predicate.engine_name (Predicate.engine ()))
       ~noised ~cost;
     out
   end
 
 let exact_count q =
-  let digest = lazy (Predicate.digest q) in
+  let digest = Predicate.digest q in
   {
     name = Printf.sprintf "count[%s]" (Predicate.to_string q);
     run =
@@ -104,11 +105,9 @@ let batch_counts ?pool b table =
 
 (* One digest for the whole batch: the hash of all member renderings. *)
 let batch_digest b =
-  lazy
-    (Printf.sprintf "%016Lx"
-       (Prob.Hashing.hash64 ~salt:0L
-          (String.concat "|"
-             (Array.to_list (Array.map Predicate.to_string b.queries)))))
+  Printf.sprintf "%016Lx"
+    (Prob.Hashing.hash64 ~salt:0L
+       (String.concat "|" (Array.to_list (Array.map Predicate.to_string b.queries))))
 
 let batch_cost b table = Dataset.Table.nrows table * Array.length b.queries
 

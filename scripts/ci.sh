@@ -53,6 +53,10 @@
 #      faster than the dense row-major loop on the 512x4096 subset-query
 #      matrix (pso_audit bench-pair --min-ratio 10, with the usual
 #      re-measure-on-noise retry)
+#  15. benchmark smoke: one-second traced perfbench runs of census-suppressed
+#      and census-exact must exit 0, so the benchmark's own checks run on
+#      every pass (every pass byte-equal, traced stats equal to untraced,
+#      records equal to population)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -304,4 +308,15 @@ if [ "$pair_ok" -ne 1 ]; then
   exit 1
 fi
 
-echo "ci: ok (build + tests + jobs-determinism + golden tables + negative auditor + obs smoke + engine check + bench kernels + audit ledger + certificates + live telemetry + census scale + spmv gate)"
+# Benchmark smoke: a short traced run of each census workload. perfbench
+# exits nonzero when any of its correctness checks fails; the timings of a
+# one-second run are not gated.
+for workload in census-suppressed census-exact; do
+  if ! python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+       --trace 1 > /dev/null; then
+    echo "ci: perfbench $workload failed its checks" >&2
+    exit 1
+  fi
+done
+
+echo "ci: ok (build + tests + jobs-determinism + golden tables + negative auditor + obs smoke + engine check + bench kernels + audit ledger + certificates + live telemetry + census scale + spmv gate + benchmark smoke)"

@@ -563,6 +563,55 @@ let test_scale_solve_block_respects_published_bounds () =
       && !sum <= b.Attacks.Census_scale.b_hi)
   done
 
+(* Two neighboring blocks of one generator, tabulated and suppressed. *)
+let scale_block_pair ~seed ~threshold ~mean_block_size =
+  let r = Prob.Rng.create ~seed:(Int64.of_int seed) () in
+  let sup block =
+    let people =
+      Dataset.Synth.census_block (Prob.Rng.split r) ~block ~mean_block_size
+    in
+    Attacks.Census_scale.suppress ~threshold
+      (Attacks.Census.tabulate_block ~block people)
+  in
+  let first = sup 0 in
+  (first, sup 1)
+
+(* The relaxed solve of [solve_block] against the allocating reference,
+   which runs its own power iteration for every block: blocks with no
+   pinned cell share one step size computed at start-up, and must still
+   come out bit for bit the same, cold and warm-started. *)
+let test_scale_solve_matches_reference () =
+  let unpinned = ref 0 and pinned = ref 0 in
+  List.iter
+    (fun (seed, threshold) ->
+      let neighbor, sup =
+        scale_block_pair ~seed ~threshold ~mean_block_size:30
+      in
+      let x0 =
+        Attacks.Census_scale.warm_seed sup
+          (Attacks.Census_scale.solve_block neighbor).relaxed
+      in
+      List.iter
+        (fun x0 ->
+          let sol = Attacks.Census_scale.solve_block ?x0 sup in
+          let relaxed, iterations, converged, fixed_cells =
+            Solver_reference.solve_relaxed ?x0 sup
+          in
+          if fixed_cells = 0 then incr unpinned else incr pinned;
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d threshold %d%s: identical solve" seed
+               threshold
+               (if x0 = None then " cold" else " warm"))
+            true
+            (Solver_reference.bits_equal sol.relaxed relaxed
+            && sol.iterations = iterations
+            && sol.converged = converged
+            && sol.fixed_cells = fixed_cells))
+        [ None; Some x0 ])
+    [ (1, 3); (2, 3); (3, 5); (4, 0); (5, 2); (6, 0) ];
+  Alcotest.(check bool) "blocks with and without pinned cells" true
+    (!unpinned >= 4 && !pinned >= 2)
+
 (* --- QCheck properties --- *)
 
 let qcheck =
@@ -581,6 +630,24 @@ let qcheck =
         let tables = Attacks.Census.tabulate truth in
         let recon = Attacks.Census.reconstruct tables in
         Array.length recon = Array.length truth);
+    (* Table-driven raking against the closure-based reference, seeded
+       from a real neighbor solution or from arbitrary nonnegative mass. *)
+    Test.make ~name:"census warm_seed = closure reference (bitwise)" ~count:25
+      (triple (int_range 1 10_000) (oneofl [ 0; 1; 2; 3; 5 ]) bool)
+      (fun (seed, threshold, from_solve) ->
+        let neighbor, sup =
+          scale_block_pair ~seed ~threshold ~mean_block_size:20
+        in
+        let relaxed =
+          if from_solve then (Attacks.Census_scale.solve_block neighbor).relaxed
+          else
+            let r = Prob.Rng.create ~seed:(Int64.of_int (seed + 1)) () in
+            Array.init Attacks.Census_scale.n_cells (fun _ ->
+                if Prob.Rng.bool r then 0. else Prob.Rng.float r 3.)
+        in
+        Solver_reference.bits_equal
+          (Attacks.Census_scale.warm_seed sup relaxed)
+          (Solver_reference.warm_seed sup relaxed));
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
@@ -650,6 +717,8 @@ let () =
             test_scale_warm_start_saves_iterations;
           Alcotest.test_case "solve_block respects bounds" `Quick
             test_scale_solve_block_respects_published_bounds;
+          Alcotest.test_case "solve_block = allocating reference" `Quick
+            test_scale_solve_matches_reference;
         ] );
       ( "intersection",
         [

@@ -349,6 +349,45 @@ let test_cli_bench_pair () =
   Alcotest.(check int) "unknown kernel exits 2" 2 missing.code;
   Sys.remove snapshot
 
+(* A mechanism built once and run from every pool domain with the ledger
+   on: its query digest must already exist. A digest computed lazily on
+   the first journaled run was forced from two domains at once and raised
+   [CamlinternalLazy.Undefined] in a few runs of ten. Each round builds
+   fresh mechanisms, so every round races on a first run. *)
+let test_mechanism_digest_domain_safe () =
+  let pool = Parallel.Pool.create ~jobs:2 () in
+  Fun.protect
+    ~finally:(fun () -> Parallel.Pool.shutdown pool)
+    (fun () ->
+      let table = curator_table 16 in
+      let trials = 8 in
+      let events =
+        with_ledger (fun () ->
+            for round = 1 to 200 do
+              let q =
+                Query.Predicate.Atom (Query.Predicate.Eq ("grp", Dataset.Value.Int (round mod 4)))
+              in
+              let batch = Query.Mechanism.batch [| q; Query.Predicate.Not q |] in
+              List.iter
+                (fun m ->
+                  let outs =
+                    Parallel.Trials.map pool
+                      (Prob.Rng.create ~seed:(Int64.of_int round) ())
+                      ~trials
+                      (fun r _ -> Query.Mechanism.run m r table)
+                  in
+                  Alcotest.(check int) "every trial ran" trials (Array.length outs))
+                [
+                  Query.Mechanism.exact_count q;
+                  Query.Mechanism.exact_counts_batch batch;
+                  Query.Mechanism.laplace_counts_batch ~epsilon:1. batch;
+                ]
+            done;
+            L.to_lines ())
+      in
+      Alcotest.(check bool) "runs were journaled" true
+        (List.length events > 200 * 3 * trials))
+
 let () =
   Alcotest.run "ledger"
     [
@@ -361,6 +400,8 @@ let () =
             test_verify_accepts_clean_spends;
           Alcotest.test_case "verify rejects tampering" `Quick
             test_verify_rejects_tampering;
+          Alcotest.test_case "mechanism digest is domain-safe" `Quick
+            test_mechanism_digest_domain_safe;
         ] );
       ( "cli",
         [

@@ -456,6 +456,105 @@ let qcheck =
            &&
            let shaved = Linalg.Intervals.shave ~budget:300 a ~row_lo ~row_hi b in
            contains shaved));
+    (* The allocation-free solver kernels against the allocating
+       reference implementations in Solver_reference: same iterates, bit
+       for bit, with and without a warm start, with degenerate lo = hi
+       coordinates, and when the iteration cap stops the solve. A
+       supplied Lipschitz constant must change nothing. *)
+    (let gen =
+       Gen.(
+         pair (int_range 1 7) (int_range 1 7) >>= fun (r, c) ->
+         pair
+           (triple
+              (array_repeat r
+                 (array_repeat c (oneofl [ 0.; 0.; 0.; 1.; 2.; -1.5; 0.5 ])))
+              (array_repeat r (float_range (-5.) 5.))
+              (pair
+                 (array_repeat c (float_range (-1.) 1.))
+                 (array_repeat c (oneofl [ 0.; 0.; 0.5; 1.; 3. ]))))
+           (triple
+              (opt (array_repeat c (float_range (-3.) 3.)))
+              (oneofl [ 0; 1; 2; 7; 40; 500 ])
+              (oneofl [ 1e-12; 1e-6; 1e-3 ])))
+     in
+     let same (got : Linalg.Lsq.solution) (want : Linalg.Lsq.solution) =
+       Solver_reference.bits_equal got.x want.x
+       && got.iterations = want.iterations
+       && got.converged = want.converged
+     in
+     Test.make ~name:"Lsq.box/lipschitz_op = allocating reference (bitwise)"
+       ~count:400 (make gen)
+       (fun ((rows, b, (lo, width)), (x0, max_iter, tolerance)) ->
+         let options = { Linalg.Lsq.max_iter; tolerance } in
+         let hi = Array.mapi (fun i l -> l +. width.(i)) lo in
+         let m = Linalg.Matrix.of_rows rows in
+         let s = Linalg.Sparse.of_matrix m in
+         let solve op ref_op =
+           let l = Linalg.Lsq.lipschitz_op op in
+           let got = Linalg.Lsq.box ~options ?x0 op b ~lo ~hi in
+           if
+             Int64.bits_of_float l
+             = Int64.bits_of_float (Solver_reference.lipschitz_op ref_op)
+             && same got (Solver_reference.box ~options ?x0 ref_op b ~lo ~hi)
+             && same got
+                  (Linalg.Lsq.box ~options ?x0 ~lipschitz:l op b ~lo ~hi)
+           then Some got
+           else None
+         in
+         (* The dense and CSR kernels are bit-identical too, so the two
+            operator kinds must also agree with each other. *)
+         match
+           ( solve (Linalg.Lsq.of_matrix m) (Solver_reference.of_matrix m),
+             solve (Linalg.Lsq.of_sparse s) (Solver_reference.of_sparse s) )
+         with
+         | Some dense, Some sparse -> same dense sparse
+         | _ -> false));
+    (* Interval propagation's CSR row loops against the closure-based
+       reference: same bounds bit for bit, the same empty variable, and
+       the same rejection of a negative coefficient. *)
+    (let gen =
+       Gen.(
+         pair (int_range 1 6) (int_range 1 6) >>= fun (m, n) ->
+         pair
+           (pair
+              (array_repeat m
+                 (array_repeat n (oneofl [ 0.; 0.; 0.; 1.; 1.; 2.; 0.5; 3. ])))
+              (array_repeat m (pair (int_range 0 6) (int_range 0 3))))
+           (triple bool (oneofl [ 1; 2; 50 ]) (int_range 0 80)))
+     in
+     let run f =
+       try
+         match f () with
+         | `Empty j -> Ok (Either.Left j)
+         | `Bounded b -> Ok (Either.Right b)
+       with Invalid_argument msg -> Error msg
+     in
+     Test.make ~name:"Intervals.propagate = closure reference (bitwise)"
+       ~count:400 (make gen)
+       (fun ((rows, bounds), (integral, max_passes, negative)) ->
+         let n = Array.length rows.(0) in
+         (* occasionally plant one negative coefficient *)
+         if negative < Array.length rows * n then
+           rows.(negative / n).(negative mod n) <- -1.;
+         let a = Linalg.Sparse.of_matrix (Linalg.Matrix.of_rows rows) in
+         let row_lo = Array.map (fun (l, _) -> float_of_int l) bounds in
+         let row_hi = Array.map (fun (l, w) -> float_of_int (l + w)) bounds in
+         let box = Linalg.Intervals.make ~n ~lo:0. ~hi:4.5 in
+         match
+           ( run (fun () ->
+                 Linalg.Intervals.propagate ~integral ~max_passes a ~row_lo
+                   ~row_hi box),
+             run (fun () ->
+                 Solver_reference.propagate ~integral ~max_passes a ~row_lo
+                   ~row_hi box) )
+         with
+         | Ok (Either.Left j), Ok (Either.Left j') -> j = j'
+         | Ok (Either.Right b), Ok (Either.Right b') ->
+           Solver_reference.bits_equal b.Linalg.Intervals.lo b'.Linalg.Intervals.lo
+           && Solver_reference.bits_equal b.Linalg.Intervals.hi
+                b'.Linalg.Intervals.hi
+         | Error e, Error e' -> e = e'
+         | _ -> false));
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
