@@ -73,28 +73,28 @@ let speedup_tables ~scale ~only ~jobs () =
    methodology"): a single object with fields "schema" (the string below),
    "version" (integer, bumped on breaking changes), "jobs", and "kernels" —
    an array of {"name", "ns_per_run", "r_square"} in ascending name order.
-   Core.Json renders canonically (keys sorted, round-tripping floats), so
+   Json renders canonically (keys sorted, round-tripping floats), so
    the bytes are stable for a given measurement. *)
 let json_schema = "bench-kernels/v1"
 
 let json_schema_version = 1
 
 let kernel_json (name, ns, r2) =
-  Core.Json.Obj
+  Json.Obj
     [
-      ("name", Core.Json.String name);
-      ("ns_per_run", Core.Json.number ns);
-      ("r_square", Core.Json.number r2);
+      ("name", Json.String name);
+      ("ns_per_run", Json.number ns);
+      ("r_square", Json.number r2);
     ]
 
 let write_json path ~jobs rows =
   let doc =
-    Core.Json.Obj
+    Json.Obj
       [
-        ("schema", Core.Json.String json_schema);
-        ("version", Core.Json.Number (float_of_int json_schema_version));
-        ("jobs", Core.Json.Number (float_of_int jobs));
-        ("kernels", Core.Json.List (List.map kernel_json rows));
+        ("schema", Json.String json_schema);
+        ("version", Json.Number (float_of_int json_schema_version));
+        ("jobs", Json.Number (float_of_int jobs));
+        ("kernels", Json.List (List.map kernel_json rows));
       ]
   in
   let oc =
@@ -103,7 +103,7 @@ let write_json path ~jobs rows =
       Format.eprintf "bench: cannot write --json file: %s@." msg;
       exit 2
   in
-  output_string oc (Core.Json.to_string ~pretty:true doc);
+  output_string oc (Json.to_string ~pretty:true doc);
   output_char oc '\n';
   close_out oc;
   Format.printf "wrote kernel timings to %s@." path

@@ -46,31 +46,6 @@ let set_jobs =
       end;
       Parallel.Pool.set_default_jobs j)
 
-(* Query evaluation engine (see Query.Predicate). Results are identical
-   under every engine; check mode cross-validates the compiled path
-   against the reference interpreter and fails loudly on divergence. The
-   flag overrides the PSO_QUERY_ENGINE environment variable. *)
-let engine_arg =
-  Arg.(
-    value
-    & opt
-        (some
-           (enum
-              [
-                ("interp", Query.Predicate.Interpreted);
-                ("bitset", Query.Predicate.Compiled);
-                ("check", Query.Predicate.Checked);
-              ]))
-        None
-    & info [ "engine" ] ~docv:"E"
-        ~doc:
-          "Query evaluation engine: $(b,interp) (reference row-by-row \
-           interpreter), $(b,bitset) (compiled columnar engine, the \
-           default) or $(b,check) (run both and fail on any divergence). \
-           Results do not depend on this.")
-
-let set_engine = Option.iter Query.Predicate.set_engine
-
 (* --- observability flags --- *)
 
 type obs_cfg = {
@@ -265,11 +240,28 @@ let with_obs cfg f =
 
 let exit_with code = if code <> 0 then exit code
 
+(* Count flags are validated as they are parsed, with the same exit-2
+   contract as --jobs, so no subcommand reaches a library precondition
+   with a nonpositive size or trial count. *)
+let at_least_one flag arg =
+  let check v =
+    if v < 1 then begin
+      Format.eprintf "pso_audit: %s must be >= 1 (got %d)@." flag v;
+      exit 2
+    end;
+    v
+  in
+  Term.(const check $ arg)
+
 let n_arg default =
-  Arg.(value & opt int default & info [ "n"; "size" ] ~docv:"N" ~doc:"Dataset size.")
+  at_least_one "--size"
+    Arg.(
+      value & opt int default
+      & info [ "n"; "size" ] ~docv:"N" ~doc:"Dataset size.")
 
 let trials_arg =
-  Arg.(value & opt int 100 & info [ "trials" ] ~docv:"T" ~doc:"Game trials.")
+  at_least_one "--trials"
+    Arg.(value & opt int 100 & info [ "trials" ] ~docv:"T" ~doc:"Game trials.")
 
 (* --- synth --- *)
 
@@ -316,6 +308,12 @@ let demographic_scheme =
 
 let anonymize_cmd =
   let run seed n k algorithm rows out =
+    if k < 1 || k > n then begin
+      Format.eprintf
+        "pso_audit: --anonymity must be in [1, --size] (got %d, --size %d)@." k
+        n;
+      exit 2
+    end;
     let rng = rng_of_seed seed in
     let table = Dataset.Synth.population rng ~n () in
     let config =
@@ -361,9 +359,8 @@ let anonymize_cmd =
 type game_target = Count | Dp_count | Kanon_member | Kanon_class
 
 let game_cmd =
-  let run seed jobs engine n trials target obs =
+  let run seed jobs n trials target obs =
     set_jobs jobs;
-    set_engine engine;
     exit_with @@ with_obs obs
     @@ fun () ->
     let rng = rng_of_seed seed in
@@ -427,8 +424,8 @@ let game_cmd =
   Cmd.v
     (Cmd.info "game" ~doc:"Run the PSO security game (Definition 2.4).")
     Term.(
-      const run $ seed_arg $ jobs_arg $ engine_arg $ n_arg 120 $ trials_arg
-      $ target_arg $ obs_term)
+      const run $ seed_arg $ jobs_arg $ n_arg 120 $ trials_arg $ target_arg
+      $ obs_term)
 
 (* --- audit --- *)
 
@@ -441,9 +438,8 @@ type audit_target =
   | A_synthetic
 
 let audit_cmd =
-  let run seed jobs engine n trials target obs =
+  let run seed jobs n trials target obs =
     set_jobs jobs;
-    set_engine engine;
     exit_with @@ with_obs obs
     @@ fun () ->
     let rng = rng_of_seed seed in
@@ -512,15 +508,14 @@ let audit_cmd =
     (Cmd.info "audit"
        ~doc:"Run the standard PSO attacker battery against a mechanism.")
     Term.(
-      const run $ seed_arg $ jobs_arg $ engine_arg $ n_arg 120 $ trials_arg
-      $ target_arg $ obs_term)
+      const run $ seed_arg $ jobs_arg $ n_arg 120 $ trials_arg $ target_arg
+      $ obs_term)
 
 (* --- theorems --- *)
 
 let theorems_cmd =
-  let run seed jobs engine n trials obs =
+  let run seed jobs n trials obs =
     set_jobs jobs;
-    set_engine engine;
     exit_with @@ with_obs obs
     @@ fun () ->
     let rng = rng_of_seed seed in
@@ -539,16 +534,13 @@ let theorems_cmd =
   in
   Cmd.v
     (Cmd.info "theorems" ~doc:"Run the executable theorem battery.")
-    Term.(
-      const run $ seed_arg $ jobs_arg $ engine_arg $ n_arg 150 $ trials_arg
-      $ obs_term)
+    Term.(const run $ seed_arg $ jobs_arg $ n_arg 150 $ trials_arg $ obs_term)
 
 (* --- report --- *)
 
 let report_cmd =
-  let run seed jobs engine n trials obs =
+  let run seed jobs n trials obs =
     set_jobs jobs;
-    set_engine engine;
     exit_with @@ with_obs obs
     @@ fun () ->
     let rng = rng_of_seed seed in
@@ -561,20 +553,13 @@ let report_cmd =
   in
   Cmd.v
     (Cmd.info "report" ~doc:"Print the full legal-technical audit report.")
-    Term.(
-      const run $ seed_arg $ jobs_arg $ engine_arg $ n_arg 150 $ trials_arg
-      $ obs_term)
+    Term.(const run $ seed_arg $ jobs_arg $ n_arg 150 $ trials_arg $ obs_term)
 
 (* --- dpcheck --- *)
 
 let dpcheck_cmd =
-  let run seed jobs engine trials confidence battery mechanism obs =
+  let run seed jobs trials confidence battery mechanism obs =
     set_jobs jobs;
-    set_engine engine;
-    if trials < 1 then begin
-      Format.eprintf "pso_audit: --trials must be >= 1 (got %d)@." trials;
-      exit 2
-    end;
     if not (confidence > 0. && confidence < 1.) then begin
       Format.eprintf "pso_audit: --confidence must be in (0, 1) (got %g)@."
         confidence;
@@ -619,9 +604,10 @@ let dpcheck_cmd =
     if flagged <> [] then 1 else 0
   in
   let trials_arg =
-    Arg.(
-      value & opt int 60_000
-      & info [ "trials" ] ~docv:"T" ~doc:"Monte Carlo trials per neighbor.")
+    at_least_one "--trials"
+      Arg.(
+        value & opt int 60_000
+        & info [ "trials" ] ~docv:"T" ~doc:"Monte Carlo trials per neighbor.")
   in
   let confidence_arg =
     Arg.(
@@ -648,14 +634,14 @@ let dpcheck_cmd =
          "Empirically audit the eps-DP mechanisms (Definition 1.2); exits 1 \
           when a statistically certified violation is found.")
     Term.(
-      const run $ seed_arg $ jobs_arg $ engine_arg $ trials_arg
-      $ confidence_arg $ battery_arg $ mechanism_arg $ obs_term)
+      const run $ seed_arg $ jobs_arg $ trials_arg $ confidence_arg
+      $ battery_arg $ mechanism_arg $ obs_term)
 
 (* --- certify --- *)
 
 let certify_cmd =
   let run mechanism tamper legal seed =
-    (* No --jobs / --engine here: certificate checking is an exhaustive
+    (* No --jobs here: certificate checking is an exhaustive
        deterministic enumeration — nothing is sampled, nothing fans out. *)
     if tamper then begin
       let results = Cert.Registry.tamper_suite () in
@@ -758,9 +744,8 @@ let certify_cmd =
 
 (* --- experiment / run --- *)
 
-let run_experiments ~seed ~jobs ~engine ~scale ~obs id =
+let run_experiments ~seed ~jobs ~scale ~obs id =
   set_jobs jobs;
-  set_engine engine;
   (* Validate the id before enabling telemetry so a typo exits cleanly. *)
   let entries =
     if String.lowercase_ascii id = "all" then Experiments.Registry.all
@@ -788,20 +773,18 @@ let full_arg =
   Arg.(value & flag & info [ "full" ] ~doc:"Full-scale parameters (slower).")
 
 let experiment_cmd =
-  let run seed jobs engine full id obs =
+  let run seed jobs full id obs =
     let scale =
       if full then Experiments.Common.Full else Experiments.Common.Quick
     in
-    run_experiments ~seed ~jobs ~engine ~scale ~obs id
+    run_experiments ~seed ~jobs ~scale ~obs id
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Run an experiment from DESIGN.md's index.")
-    Term.(
-      const run $ seed_arg $ jobs_arg $ engine_arg $ full_arg $ id_arg
-      $ obs_term)
+    Term.(const run $ seed_arg $ jobs_arg $ full_arg $ id_arg $ obs_term)
 
 let run_cmd =
-  let run seed jobs engine quick full id obs =
+  let run seed jobs quick full id obs =
     if quick && full then begin
       Format.eprintf "pso_audit: --quick and --full are mutually exclusive@.";
       exit 2
@@ -809,7 +792,7 @@ let run_cmd =
     let scale =
       if full then Experiments.Common.Full else Experiments.Common.Quick
     in
-    run_experiments ~seed ~jobs ~engine ~scale ~obs id
+    run_experiments ~seed ~jobs ~scale ~obs id
   in
   let quick_arg =
     Arg.(
@@ -822,8 +805,7 @@ let run_cmd =
          "Run an experiment from DESIGN.md's index (alias of experiment with \
           an explicit --quick/--full scale choice).")
     Term.(
-      const run $ seed_arg $ jobs_arg $ engine_arg $ quick_arg $ full_arg
-      $ id_arg $ obs_term)
+      const run $ seed_arg $ jobs_arg $ quick_arg $ full_arg $ id_arg $ obs_term)
 
 (* --- census --- *)
 
@@ -964,11 +946,11 @@ let validate_json_cmd =
             exit 2
         in
         let schema_of doc =
-          match Core.Json.member "schema" doc with
-          | Some (Core.Json.String s) -> s
+          match Json.member "schema" doc with
+          | Some (Json.String s) -> s
           | _ -> "unknown schema"
         in
-        match Core.Json.of_string contents with
+        match Json.of_string contents with
         | Ok doc ->
           (* Schemas with a structural validator get the deep check, not
              just a parse. *)
@@ -1018,7 +1000,7 @@ let validate_json_cmd =
             | first :: _ ->
               List.iteri
                 (fun i l ->
-                  match Core.Json.of_string l with
+                  match Json.of_string l with
                   | Ok _ -> ()
                   | Error lmsg ->
                     Format.eprintf
@@ -1027,7 +1009,7 @@ let validate_json_cmd =
                     exit 2)
                 lines;
               let schema =
-                match Core.Json.of_string first with
+                match Json.of_string first with
                 | Ok doc -> schema_of doc
                 | Error _ -> "unknown schema"
               in
@@ -1098,7 +1080,7 @@ let ledger_report_cmd =
     let rows = Obs.Ledger.report events in
     if json then
       print_endline
-        (Core.Json.to_string ~pretty:true (Obs.Ledger.report_json rows))
+        (Json.to_string ~pretty:true (Obs.Ledger.report_json rows))
     else begin
       Format.printf "ledger report: %s (%d event(s))@." path
         (List.length events);
@@ -1149,15 +1131,15 @@ let report_html_cmd =
   in
   let read_json ~expect path =
     let doc =
-      match Core.Json.of_string (read_text path) with
+      match Json.of_string (read_text path) with
       | Ok doc -> doc
       | Error msg ->
         Format.eprintf "pso_audit: %s: invalid JSON: %s@." path msg;
         exit 2
     in
-    (match Core.Json.member "schema" doc with
-    | Some (Core.Json.String s) when String.equal s expect -> ()
-    | Some (Core.Json.String s) ->
+    (match Json.member "schema" doc with
+    | Some (Json.String s) when String.equal s expect -> ()
+    | Some (Json.String s) ->
       Format.eprintf "pso_audit: %s: expected schema %s, found %s@." path
         expect s;
       exit 2
@@ -1287,25 +1269,25 @@ let read_bench_snapshot path =
     with Sys_error msg -> fail "cannot read: %s" msg
   in
   let doc =
-    match Core.Json.of_string contents with
+    match Json.of_string contents with
     | Ok doc -> doc
     | Error msg -> fail "invalid JSON: %s" msg
   in
-  (match Core.Json.member "schema" doc with
-  | Some (Core.Json.String "bench-kernels/v1") -> ()
-  | Some (Core.Json.String other) ->
+  (match Json.member "schema" doc with
+  | Some (Json.String "bench-kernels/v1") -> ()
+  | Some (Json.String other) ->
     fail "expected schema bench-kernels/v1, found %s" other
   | _ -> fail "missing schema field");
   let kernels =
-    match Option.bind (Core.Json.member "kernels" doc) Core.Json.to_list with
+    match Option.bind (Json.member "kernels" doc) Json.to_list with
     | Some ks -> ks
     | None -> fail "missing kernels list"
   in
   List.map
     (fun k ->
       match
-        ( Option.bind (Core.Json.member "name" k) Core.Json.to_string_opt,
-          Option.bind (Core.Json.member "ns_per_run" k) Core.Json.to_float )
+        ( Option.bind (Json.member "name" k) Json.to_string_opt,
+          Option.bind (Json.member "ns_per_run" k) Json.to_float )
       with
       | Some name, Some ns -> (name, ns)
       | _ -> fail "malformed kernel entry")

@@ -9,10 +9,6 @@ module Kanon = Kanon
 module Attacks = Attacks
 module Pso = Pso
 module Legal = Legal
-(* Json lives in the standalone lib/json library (so lower layers like
-   lib/obs can render documents without a cycle through this facade);
-   re-exported here to keep the Core.Json path stable. *)
-module Json = Json
 module Obs = Obs
 
 module Audit = struct

@@ -20,7 +20,6 @@ module Legal = Legal
 
 (** {1 Utilities} *)
 
-module Json = Json
 module Obs = Obs
 
 (** {1 One-call audits} *)

@@ -149,69 +149,27 @@ let ask_subset_as t ~digest ~engine subset =
 
 let ask_subset t subset = ask_subset_as t ~digest:"-" ~engine:"subset" subset
 
-let matching_interpreted t schema p =
-  let subset = ref [] in
-  Table.iter
-    (fun i row -> if Predicate.eval schema p row then subset := i :: !subset)
-    t.table;
-  Array.of_list (List.rev !subset)
-
-let matching_compiled t schema p =
-  Bitset.indices (Predicate.bits (Predicate.compile schema p) t.table)
-
 let ask t p =
-  let schema = Table.schema t.table in
   let subset =
-    match Predicate.engine () with
-    | Predicate.Interpreted -> matching_interpreted t schema p
-    | Predicate.Compiled -> matching_compiled t schema p
-    | Predicate.Checked ->
-      let a = matching_interpreted t schema p in
-      let b = matching_compiled t schema p in
-      if a <> b then
-        failwith
-          (Printf.sprintf "Curator.ask: engine mismatch on %s"
-             (Predicate.to_string p));
-      a
+    Bitset.indices
+      (Predicate.bits (Predicate.compile (Table.schema t.table) p) t.table)
   in
   let digest = if Obs.Ledger.enabled () then Predicate.digest p else "-" in
-  ask_subset_as t ~digest
-    ~engine:(Predicate.engine_name (Predicate.engine ()))
-    subset
+  ask_subset_as t ~digest ~engine:"bitset" subset
 
 (* Subpopulation extraction for a whole question list at once. Replies
-   still go through [ask_subset] one by one in index order, so the
+   still go through [ask_subset_as] one by one in index order, so the
    curator's state transitions (budget, audit, noise draws) are exactly
    those of asking sequentially — [ask_many] and [Array.map (ask t)]
    produce identical replies from identical starting states. *)
-let matching_many t schema ps =
-  match Predicate.engine () with
-  | Predicate.Interpreted -> Array.map (matching_interpreted t schema) ps
-  | Predicate.Compiled ->
-    let cs = Array.map (Predicate.compile schema) ps in
-    Array.map Bitset.indices (Predicate.bits_many t.table cs)
-  | Predicate.Checked ->
-    let cs = Array.map (Predicate.compile schema) ps in
-    let batch = Array.map Bitset.indices (Predicate.bits_many t.table cs) in
-    Array.iteri
-      (fun i b ->
-        let a = matching_interpreted t schema ps.(i) in
-        let c = Bitset.indices (Predicate.bits cs.(i) t.table) in
-        if a <> b || c <> b then
-          failwith
-            (Printf.sprintf "Curator.ask_many: engine mismatch on %s"
-               (Predicate.to_string ps.(i))))
-      batch;
-    batch
-
 let ask_many t ps =
-  let subsets = matching_many t (Table.schema t.table) ps in
-  let engine = Predicate.engine_name (Predicate.engine ()) in
+  let cs = Array.map (Predicate.compile (Table.schema t.table)) ps in
+  let subsets = Array.map Bitset.indices (Predicate.bits_many t.table cs) in
   let ledger_on = Obs.Ledger.enabled () in
   let out = Array.make (Array.length ps) (Refusal "unasked") in
   for i = 0 to Array.length ps - 1 do
     let digest = if ledger_on then Predicate.digest ps.(i) else "-" in
-    out.(i) <- ask_subset_as t ~digest ~engine subsets.(i)
+    out.(i) <- ask_subset_as t ~digest ~engine:"bitset" subsets.(i)
   done;
   out
 

@@ -2,24 +2,19 @@
 
    Predicate.count_many is the single-domain kernel: shared columnar scan,
    batch-wide atom dedup, fused word-machine evaluation. This module adds
-   the two things the kernel deliberately does not know about:
-
-   - engine dispatch: [counts]/[isolations] honour Predicate.engine (),
-     with [Checked] cross-validating every batch answer against BOTH the
-     per-predicate compiled path and the reference interpreter;
-
-   - optional domain fan-out: [?pool] splits a large batch into contiguous
-     chunks evaluated by Parallel.Pool workers and concatenated in chunk
-     order, so the result is byte-identical at every pool size (each
-     chunk's counts are pure; workers dedup atoms chunk-locally in their
-     own domain-local caches). *)
+   the one thing the kernel deliberately does not know about: optional
+   domain fan-out. [?pool] splits a large batch into contiguous chunks
+   evaluated by Parallel.Pool workers and concatenated in chunk order, so
+   the result is byte-identical at every pool size (each chunk's counts
+   are pure; workers dedup atoms chunk-locally in their own domain-local
+   caches). *)
 
 module Table = Dataset.Table
 
 (* Same handle as Predicate's per-query accounting (Counter.make is
    idempotent by name): a batched count still charges one logical
    row-evaluation per row per predicate, so query.predicate_evals stays
-   engine- and batch-invariant. *)
+   batch-invariant. *)
 let c_evals = Obs.Counter.make "query.predicate_evals"
 
 (* Fan a batch of independent per-predicate results over the pool in
@@ -41,70 +36,15 @@ let fan_out pool n eval_slice =
     Array.concat (Array.to_list parts)
   end
 
-let count_many ?pool ?cache table cs =
-  match pool with
-  | None -> Predicate.count_many ?cache table cs
-  | Some pool ->
-    fan_out pool (Array.length cs) (fun off len ->
-        Predicate.count_many ?cache table (Array.sub cs off len))
-
-let isolates_many ?pool ?cache table cs =
-  match pool with
-  | None -> Predicate.isolates_many ?cache table cs
-  | Some pool ->
-    fan_out pool (Array.length cs) (fun off len ->
-        Predicate.isolates_many ?cache table (Array.sub cs off len))
-
-let compile_all schema qs = Array.map (Predicate.compile schema) qs
-
-let mismatch what i q ~batch ~single ~interp =
-  failwith
-    (Printf.sprintf
-       "Engine.%s: engine mismatch at query %d (batch %s, compiled %s, \
-        interpreter %s) on %s"
-       what i batch single interp
-       (Predicate.to_string q))
-
 let counts ?pool ?compiled table qs =
   Obs.Counter.add c_evals (Table.nrows table * Array.length qs);
-  let schema = Table.schema table in
-  let compiled_or cs = match compiled with Some cs -> cs | None -> cs () in
-  match Predicate.engine () with
-  | Predicate.Interpreted ->
-    Array.map (fun q -> Predicate.count_interpreted schema q table) qs
-  | Predicate.Compiled ->
-    count_many ?pool table (compiled_or (fun () -> compile_all schema qs))
-  | Predicate.Checked ->
-    let cs = compiled_or (fun () -> compile_all schema qs) in
-    let batch = count_many ?pool table cs in
-    Array.iteri
-      (fun i c ->
-        let single = Predicate.count_compiled cs.(i) table in
-        let interp = Predicate.count_interpreted schema qs.(i) table in
-        if c <> single || c <> interp then
-          mismatch "counts" i qs.(i) ~batch:(string_of_int c)
-            ~single:(string_of_int single) ~interp:(string_of_int interp))
-      batch;
-    batch
-
-let isolations ?pool ?compiled table qs =
-  Obs.Counter.add c_evals (Table.nrows table * Array.length qs);
-  let schema = Table.schema table in
-  let compiled_or cs = match compiled with Some cs -> cs | None -> cs () in
-  match Predicate.engine () with
-  | Predicate.Interpreted ->
-    Array.map (fun q -> Predicate.count_interpreted schema q table = 1) qs
-  | Predicate.Compiled ->
-    isolates_many ?pool table (compiled_or (fun () -> compile_all schema qs))
-  | Predicate.Checked ->
-    let cs = compiled_or (fun () -> compile_all schema qs) in
-    let batch = isolates_many ?pool table cs in
-    Array.iteri
-      (fun i b ->
-        let single = Predicate.isolates_compiled cs.(i) table in
-        let interp = Predicate.count_interpreted schema qs.(i) table = 1 in
-        if b <> single || b <> interp then
-          mismatch "isolations" i qs.(i) ~batch:(string_of_bool b)
-            ~single:(string_of_bool single) ~interp:(string_of_bool interp))
-      batch;
-    batch
+  let cs =
+    match compiled with
+    | Some cs -> cs
+    | None -> Array.map (Predicate.compile (Table.schema table)) qs
+  in
+  match pool with
+  | None -> Predicate.count_many table cs
+  | Some pool ->
+    fan_out pool (Array.length cs) (fun off len ->
+        Predicate.count_many table (Array.sub cs off len))

@@ -3,33 +3,11 @@
     The attacks in this repo — reconstruction (Section 1), the PSO
     composition game (Section 4), the dpcheck audits — each evaluate
     hundreds to thousands of count queries against one table. This module
-    is their entry point: it dispatches on the process-wide
-    {!Predicate.engine} mode, runs whole predicate arrays through the
+    is their entry point: it runs whole predicate arrays through the
     batched kernel ({!Predicate.count_many}: one columnar scan, batch-wide
     atom dedup, fused word-machine evaluation), and can optionally fan a
     large batch across a {!Parallel.Pool} in contiguous chunks combined in
     chunk order — the answers are byte-identical at every [jobs] count. *)
-
-val count_many :
-  ?pool:Parallel.Pool.t ->
-  ?cache:bool ->
-  Dataset.Table.t ->
-  Predicate.compiled array ->
-  int array
-(** [count_many table cs] is
-    [Array.map (fun c -> Predicate.count_compiled c table) cs] via the
-    batched kernel. With [?pool], the batch is split into contiguous
-    chunks (at least 64 predicates each — below that the pool's per-item
-    overhead swamps the work) evaluated in parallel and concatenated in
-    chunk order, so results do not depend on pool size. *)
-
-val isolates_many :
-  ?pool:Parallel.Pool.t ->
-  ?cache:bool ->
-  Dataset.Table.t ->
-  Predicate.compiled array ->
-  bool array
-(** Batched Definition 2.1, same fan-out contract as {!count_many}. *)
 
 val counts :
   ?pool:Parallel.Pool.t ->
@@ -37,20 +15,12 @@ val counts :
   Dataset.Table.t ->
   Predicate.t array ->
   int array
-(** Engine-dispatched batch counts: the [Interpreted] engine runs the
-    reference interpreter per predicate, [Compiled] runs {!count_many},
-    and [Checked] runs the batch and asserts every answer against both
-    the per-predicate compiled path and the interpreter (raising
-    [Failure] on any disagreement). Pass [?compiled] to reuse an existing
-    compilation of [qs] (they must correspond index-wise); otherwise the
-    predicates are compiled on the fly under [Compiled]/[Checked].
-    Charges [query.predicate_evals] with rows × queries regardless of
-    engine, keeping the counter batch-invariant. *)
-
-val isolations :
-  ?pool:Parallel.Pool.t ->
-  ?compiled:Predicate.compiled array ->
-  Dataset.Table.t ->
-  Predicate.t array ->
-  bool array
-(** Engine-dispatched batched isolation tests; contract as {!counts}. *)
+(** [counts table qs] is [Array.map (fun q -> Predicate.count schema q
+    table) qs] via the batched kernel. Pass [?compiled] to reuse an
+    existing compilation of [qs] (they must correspond index-wise);
+    otherwise the predicates are compiled on the fly. With [?pool], the
+    batch is split into contiguous chunks (at least 64 predicates each —
+    below that the pool's per-item overhead swamps the work) evaluated in
+    parallel and concatenated in chunk order, so results do not depend on
+    pool size. Charges [query.predicate_evals] with rows × queries,
+    keeping the counter batch-invariant. *)

@@ -21,7 +21,9 @@ let sk_latency = Obs.Sketchm.make ~timing:true "query.latency_ns"
    mechanism construction: runs happen per trial on the pool's worker
    domains, and a [lazy] forced from two domains at once raises
    [CamlinternalLazy.Undefined]. When the ledger is off a run costs one
-   flag read. *)
+   flag read. The event's [engine] field names the evaluation path
+   (row-index queries log "subset"); ledger/v1 keeps it for format
+   compatibility. *)
 let log_run ~digest ~noised ~cost f =
   if not (Obs.enabled () || Obs.Ledger.enabled ()) then f ()
   else begin
@@ -30,9 +32,7 @@ let log_run ~digest ~noised ~cost f =
     Obs.Sketchm.observe sk_latency (Int64.to_float (Int64.sub (Obs.now_ns ()) t0));
     Obs.Sketchm.observe sk_cost (float_of_int cost);
     Obs.Ledger.query ~analyst:Obs.Ledger.ambient_analyst ~kind:"mechanism"
-      ~digest
-      ~engine:(Predicate.engine_name (Predicate.engine ()))
-      ~noised ~cost;
+      ~digest ~engine:"bitset" ~noised ~cost;
     out
   end
 
@@ -79,29 +79,12 @@ let batch_compiled b schema =
    query event, so a noised release is never double-logged as an exact
    one. *)
 let batch_counts ?pool b table =
-  let qs = b.queries in
-  let schema = Dataset.Table.schema table in
-  match Predicate.engine () with
-  | Predicate.Interpreted ->
-    (* Rows outer, queries inner: hash-atom digests are cached per
-       row, so query batches over the same record pay for one
-       digest. *)
-    let counts = Array.make (Array.length qs) 0. in
-    Array.iter
-      (fun row ->
-        Array.iteri
-          (fun i q ->
-            if Predicate.eval schema q row then counts.(i) <- counts.(i) +. 1.)
-          qs)
-      (Dataset.Table.rows table);
-    counts
-  | Predicate.Compiled | Predicate.Checked ->
-    (* One batched evaluation: shared columnar scan, batch-wide
-       atom dedup, compilation reused across runs. Under Checked,
-       Engine.counts re-derives every answer with the
-       per-predicate compiled path and the interpreter. *)
-    Array.map float_of_int
-      (Engine.counts ?pool ~compiled:(batch_compiled b schema) table qs)
+  (* One batched evaluation: shared columnar scan, batch-wide atom dedup,
+     compilation reused across runs. *)
+  Array.map float_of_int
+    (Engine.counts ?pool
+       ~compiled:(batch_compiled b (Dataset.Table.schema table))
+       table b.queries)
 
 (* One digest for the whole batch: the hash of all member renderings. *)
 let batch_digest b =

@@ -42,10 +42,8 @@ val laplace_counts : epsilon:float -> Predicate.t array -> t
     the PSO game replays one mechanism thousands of times, and schemes like
     {!Pso.Composition} build several mechanisms over the same queries.
     Counts are evaluated through {!Engine.counts}: one shared columnar
-    scan with batch-wide atom dedup (and under the [Checked] engine, every
-    batch answer cross-validated against the per-predicate compiled path
-    and the interpreter). Outputs are identical to the unbatched
-    constructors on every input. *)
+    scan with batch-wide atom dedup. Outputs are identical to the
+    unbatched constructors on every input. *)
 
 type batch
 
@@ -56,7 +54,7 @@ val batch_queries : batch -> Predicate.t array
 val exact_counts_batch : ?pool:Parallel.Pool.t -> batch -> t
 (** [exact_counts] evaluating through the shared batch. With [?pool],
     large batches fan across the domain pool (deterministic in-order
-    combine — see {!Engine.count_many}). *)
+    combine — see {!Engine.counts}). *)
 
 val laplace_counts_batch :
   ?pool:Parallel.Pool.t -> epsilon:float -> batch -> t

@@ -693,69 +693,21 @@ let bits_many ?(cache = true) table cs =
   in
   Array.map (fun j -> per_prog.(j)) plan.index
 
-(* --- Engine selection --- *)
-
-type engine = Interpreted | Compiled | Checked
-
-let engine_of_string s =
-  match String.lowercase_ascii s with
-  | "interp" | "interpreted" -> Some Interpreted
-  | "bitset" | "compiled" -> Some Compiled
-  | "check" | "checked" -> Some Checked
-  | _ -> None
-
-let engine_name = function
-  | Interpreted -> "interp"
-  | Compiled -> "bitset"
-  | Checked -> "check"
-
-(* Unrecognized env values fall back to the default rather than raising at
-   library init; the CLIs validate their --engine flag properly. *)
-let engine_mode =
-  Atomic.make
-    (match Option.bind (Sys.getenv_opt "PSO_QUERY_ENGINE") engine_of_string with
-    | Some e -> e
-    | None -> Compiled)
-
-let engine () = Atomic.get engine_mode
-
-let set_engine e = Atomic.set engine_mode e
-
 (* One row-evaluation per row scanned: the logical cost of every counting
    query, deterministic for a deterministic workload at any --jobs and
-   charged identically by every engine. *)
+   charged identically by the per-query and batched paths. *)
 let c_evals = Obs.Counter.make "query.predicate_evals"
 
 let count_interpreted schema t table =
   Table.count (fun row -> eval schema t row) table
 
-let mismatch what t interp compiled =
-  failwith
-    (Printf.sprintf
-       "Predicate.%s: engine mismatch (interpreter %s, compiled %s) on %s" what
-       interp compiled (to_string t))
-
 let count schema t table =
   Obs.Counter.add c_evals (Table.nrows table);
-  match engine () with
-  | Interpreted -> count_interpreted schema t table
-  | Compiled -> count_compiled (compile schema t) table
-  | Checked ->
-    let a = count_interpreted schema t table in
-    let b = count_compiled (compile schema t) table in
-    if a <> b then mismatch "count" t (string_of_int a) (string_of_int b);
-    a
+  count_compiled (compile schema t) table
 
 let isolates schema t table =
   Obs.Counter.add c_evals (Table.nrows table);
-  match engine () with
-  | Interpreted -> count_interpreted schema t table = 1
-  | Compiled -> isolates_compiled (compile schema t) table
-  | Checked ->
-    let a = count_interpreted schema t table = 1 in
-    let b = isolates_compiled (compile schema t) table in
-    if a <> b then mismatch "isolates" t (string_of_bool a) (string_of_bool b);
-    a
+  isolates_compiled (compile schema t) table
 
 (* --- Weight --- *)
 

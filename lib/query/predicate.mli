@@ -49,16 +49,14 @@ val eval : Dataset.Schema.t -> t -> Dataset.Table.row -> bool
     schema. *)
 
 val count : Dataset.Schema.t -> t -> Dataset.Table.t -> int
-(** [Σᵢ p(xᵢ)] — the count-query answer for this predicate. Dispatches on
-    the current {!engine}: the default compiled path evaluates against the
-    table's columnar view via cached bitsets; the interpreter is the
-    executable reference. Both produce identical results on every input —
-    [Checked] asserts exactly that. *)
+(** [Σᵢ p(xᵢ)] — the count-query answer for this predicate, evaluated
+    against the table's columnar view via cached bitsets. The tests hold
+    it equal to {!count_interpreted} on every input. Raises [Not_found]
+    as {!compile} does. *)
 
 val isolates : Dataset.Schema.t -> t -> Dataset.Table.t -> bool
 (** Definition 2.1: [p] isolates in [x] iff it holds for exactly one
-    record. Engine-dispatched like {!count}; the compiled path
-    short-circuits the popcount past 1. *)
+    record. Compiled like {!count}; short-circuits the popcount past 1. *)
 
 (** {1 Compiled engine}
 
@@ -93,7 +91,9 @@ val count_compiled : ?cache:bool -> compiled -> Dataset.Table.t -> int
 val isolates_compiled : ?cache:bool -> compiled -> Dataset.Table.t -> bool
 
 val count_interpreted : Dataset.Schema.t -> t -> Dataset.Table.t -> int
-(** The reference row-by-row interpreter, regardless of engine mode. *)
+(** The reference row-by-row interpreter over {!eval}: no production path
+    calls it; the tests and the bench kernels compare the compiled path
+    against it. *)
 
 (** {2 Batched evaluation}
 
@@ -108,8 +108,7 @@ val count_interpreted : Dataset.Schema.t -> t -> Dataset.Table.t -> int
     scratch stack — no intermediate bitset allocation at all.
 
     Results are exactly [Array.map] of the per-predicate compiled path
-    (property-tested, and cross-checked under the [Checked] engine by
-    {!Engine.counts}). *)
+    (property-tested against it and against {!count_interpreted}). *)
 
 val count_many : ?cache:bool -> Dataset.Table.t -> compiled array -> int array
 (** [count_many table cs] is [Array.map (fun c -> count_compiled c table) cs],
@@ -132,24 +131,6 @@ val reserve_atom_capacity : int -> unit
 (** Grow (never shrink) the atom-cache bound to at least the argument,
     clamped to the ceiling. Called by the batch planner with the number of
     distinct atoms in the batch. *)
-
-(** {2 Engine selection} *)
-
-type engine =
-  | Interpreted  (** row-by-row reference interpreter *)
-  | Compiled  (** columnar bitset engine (default) *)
-  | Checked  (** run both, assert agreement — for tests and CI smoke *)
-
-val engine : unit -> engine
-
-val set_engine : engine -> unit
-(** Process-wide. The initial mode honours the [PSO_QUERY_ENGINE]
-    environment variable ([interp] / [bitset] / [check]; unrecognized
-    values are ignored) and defaults to [Compiled]. *)
-
-val engine_of_string : string -> engine option
-
-val engine_name : engine -> string
 
 (** {1 Weight} *)
 

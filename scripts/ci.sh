@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus end-to-end smoke tests:
-#   1. dune build && dune runtest (includes the golden-table diff and the
-#      stattest/property/CLI suites)
+#   1. dune build && dune runtest (includes the golden-table diff, the
+#      stattest/property/CLI suites, and the query-oracle tests that hold
+#      the compiled bitset path equal to the reference interpreter on
+#      E2's query shapes and on the curator/erasure/mechanism paths)
 #   2. quick-scale E2 tables must be byte-identical at --jobs 1 and --jobs 2
 #      (the per-trial RNG fan-out guarantee, checked end to end through the
 #      bench harness)
@@ -13,47 +15,44 @@
 #      both JSON outputs must parse, and the table on stdout must still
 #      match the committed golden byte-for-byte (telemetry must not perturb
 #      results)
-#   6. query-engine smoke: E2 with --engine check (interpreter and compiled
-#      bitset engine cross-validated on every query, failing on any
-#      divergence) must still match the committed golden byte-for-byte
-#   7. bench kernel JSON: the predicate kernel triple's --json output must
+#   6. bench kernel JSON: the predicate kernel triple's --json output must
 #      validate under pso_audit validate-json (the bench-kernels/v1
 #      contract)
-#   8. bench regression: the same --json output is compared against the
+#   7. bench regression: the same --json output is compared against the
 #      newest committed BENCH_*.json snapshot with pso_audit bench-compare;
 #      any shared kernel more than 20% slower across three fresh
 #      measurements fails the gate (skipped with a notice when no snapshot
 #      is committed yet)
-#   9. audit-ledger smoke: a quick E2 run with --ledger must produce a
+#   8. audit-ledger smoke: a quick E2 run with --ledger must produce a
 #      ledger/v1 file that passes pso_audit ledger-verify and validate-json,
 #      renders a ledger-report, and is byte-identical at --jobs 1 and 2
-#  10. ledger overhead gate: within the same bench snapshot, the
+#   9. ledger overhead gate: within the same bench snapshot, the
 #      ledger-on-count-batched kernel must stay within 10% of
 #      ledger-off-count-batched (pso_audit bench-pair, with the same
 #      re-measure-on-noise retry as the bench regression gate)
-#  11. certificate gate: pso_audit certify must verify every production
+#  10. certificate gate: pso_audit certify must verify every production
 #      eps-DP coupling certificate exactly and reject every negative
 #      control (nonzero exit otherwise), and the tampered-certificate
 #      smoke (certify --tamper) must reject every corrupted witness
-#  12. live-telemetry smoke: a quick E2 run with --prom + --timeline (plus
+#  11. live-telemetry smoke: a quick E2 run with --prom + --timeline (plus
 #      --metrics-json and --ledger) must leave the golden table untouched,
 #      both new artifacts must pass validate-json (prometheus-text and
 #      obs-timeline/v1), report-html must fuse all four sources into a
 #      self-contained page with every section present, and the 10 Hz
 #      snapshot ticker must cost <=10% on the batched-count kernel
 #      (bench-pair, same re-measure retry as the other perf gates)
-#  13. census-scale smoke: the E14 table must be byte-identical at --jobs 1
+#  12. census-scale smoke: the E14 table must be byte-identical at --jobs 1
 #      and --jobs 2 and must match the committed golden, and the census
 #      subcommand's streaming and materialized paths must produce identical
 #      stats for the same seed (the peak-memory-vs-correctness trade has no
 #      correctness side)
-#  14. SpMV speedup gate: in a fresh linalg bench snapshot (which also
+#  13. SpMV speedup gate: in a fresh linalg bench snapshot (which also
 #      validates under bench-kernels/v1 and cross-checks sparse == dense
 #      bitwise on every sample), the CSR SpMV kernel must be at least 10x
 #      faster than the dense row-major loop on the 512x4096 subset-query
 #      matrix (pso_audit bench-pair --min-ratio 10, with the usual
 #      re-measure-on-noise retry)
-#  15. benchmark smoke: one-second traced perfbench runs of census-suppressed
+#  14. benchmark smoke: one-second traced perfbench runs of census-suppressed
 #      and census-exact must exit 0, so the benchmark's own checks run on
 #      every pass (every pass byte-equal, traced stats equal to untraced,
 #      records equal to population)
@@ -103,16 +102,6 @@ dune exec bin/pso_audit.exe -- run E2 --quick --seed 20210621 --jobs 2 \
 dune exec bin/pso_audit.exe -- validate-json "$trace" "$metrics"
 if ! diff -u test/golden/E2.txt "$tmp1"; then
   echo "ci: telemetry perturbed the E2 table (differs from test/golden/E2.txt)" >&2
-  exit 1
-fi
-
-# Query-engine smoke: force check mode (interpreter + compiled bitset
-# engine run side by side; any count/isolation divergence aborts) and
-# require the E2 table to stay byte-identical to the committed golden.
-dune exec bin/pso_audit.exe -- run E2 --quick --seed 20210621 --jobs 2 \
-  --engine check > "$tmp1" 2> /dev/null
-if ! diff -u test/golden/E2.txt "$tmp1"; then
-  echo "ci: --engine check perturbed the E2 table (differs from test/golden/E2.txt)" >&2
   exit 1
 fi
 
@@ -319,4 +308,4 @@ for workload in census-suppressed census-exact; do
   fi
 done
 
-echo "ci: ok (build + tests + jobs-determinism + golden tables + negative auditor + obs smoke + engine check + bench kernels + audit ledger + certificates + live telemetry + census scale + spmv gate + benchmark smoke)"
+echo "ci: ok (build + tests + jobs-determinism + golden tables + negative auditor + obs smoke + bench kernels + audit ledger + certificates + live telemetry + census scale + spmv gate + benchmark smoke)"

@@ -88,7 +88,26 @@ let test_pso_audit_validation_errors () =
   check "dpcheck unknown mechanism" [ "dpcheck"; "--mechanism"; "nope" ]
     ~stderr_has:"unknown mechanism";
   check "dpcheck bad battery" [ "dpcheck"; "--battery"; "weird" ]
-    ~stderr_has:"--battery must be"
+    ~stderr_has:"--battery must be";
+  let check_all ~stderr_has =
+    List.iter (fun args -> check (String.concat " " args) args ~stderr_has)
+  in
+  check_all ~stderr_has:"--trials must be >= 1"
+    [
+      [ "game"; "--trials"; "0" ];
+      [ "audit"; "--trials"; "0" ];
+      [ "theorems"; "--trials=0" ];
+    ];
+  check_all ~stderr_has:"--size must be >= 1"
+    [
+      [ "game"; "-n"; "0" ];
+      [ "audit"; "-n"; "0" ];
+      [ "theorems"; "-n"; "0" ];
+      [ "report"; "-n"; "0" ];
+      [ "anonymize"; "-n"; "0" ];
+    ];
+  check_all ~stderr_has:"--anonymity must be in"
+    [ [ "anonymize"; "-k"; "0" ]; [ "anonymize"; "-k"; "500"; "-n"; "10" ] ]
 
 let test_pso_audit_synth () =
   let r = run (pso_audit [ "synth"; "--size"; "12"; "--seed"; "7" ]) in
@@ -156,7 +175,7 @@ let test_pso_audit_certify_legal () =
 (* --- run + observability flags --- *)
 
 let parse_json name s =
-  match Core.Json.of_string s with
+  match Json.of_string s with
   | Ok v -> v
   | Error e -> Alcotest.failf "%s is not valid JSON: %s" name e
 
@@ -191,12 +210,12 @@ let test_pso_audit_run_trace_and_metrics () =
   Alcotest.(check bool) "summary table lands on stderr" true
     (contains traced.stderr "obs metrics");
   let trace_doc = parse_json "trace" (read_file trace) in
-  (match Core.Json.member "traceEvents" trace_doc with
-  | Some (Core.Json.List (_ :: _)) -> ()
+  (match Json.member "traceEvents" trace_doc with
+  | Some (Json.List (_ :: _)) -> ()
   | _ -> Alcotest.fail "trace has no events");
   let metrics_doc = parse_json "metrics" (read_file metrics) in
-  (match Core.Json.member "schema" metrics_doc with
-  | Some (Core.Json.String s) ->
+  (match Json.member "schema" metrics_doc with
+  | Some (Json.String s) ->
     Alcotest.(check string) "metrics schema" "obs-metrics/v1" s
   | _ -> Alcotest.fail "metrics schema missing");
   let v = run (pso_audit [ "validate-json"; trace; metrics ]) in
@@ -220,16 +239,16 @@ let test_pso_audit_metrics_jobs_invariance () =
     Alcotest.(check int) (Printf.sprintf "jobs=%d exits 0" jobs) 0 r.code;
     let doc = parse_json "metrics" (read_file path) in
     Sys.remove path;
-    match Core.Json.member "counters" doc with
-    | Some (Core.Json.List cs) ->
+    match Json.member "counters" doc with
+    | Some (Json.List cs) ->
       List.filter_map
         (fun c ->
           match
-            (Core.Json.member "timing" c, Core.Json.member "name" c,
-             Core.Json.member "value" c)
+            (Json.member "timing" c, Json.member "name" c,
+             Json.member "value" c)
           with
-          | Some (Core.Json.Bool false), Some (Core.Json.String n),
-            Some (Core.Json.Number v) ->
+          | Some (Json.Bool false), Some (Json.String n),
+            Some (Json.Number v) ->
             Some (n, v)
           | _ -> None)
         cs
@@ -271,12 +290,12 @@ let test_pso_audit_live_telemetry () =
   Alcotest.(check bool) "prom segregates timing class" true
     (contains prom_text {|class="timing"|});
   let tl_doc = parse_json "timeline" (read_file timeline) in
-  (match Core.Json.member "schema" tl_doc with
-  | Some (Core.Json.String s) ->
+  (match Json.member "schema" tl_doc with
+  | Some (Json.String s) ->
     Alcotest.(check string) "timeline schema" "obs-timeline/v1" s
   | _ -> Alcotest.fail "timeline schema missing");
-  (match Core.Json.member "snapshots" tl_doc with
-  | Some (Core.Json.List (_ :: _)) -> ()
+  (match Json.member "snapshots" tl_doc with
+  | Some (Json.List (_ :: _)) -> ()
   | _ -> Alcotest.fail "timeline has no snapshots");
   let v = run (pso_audit [ "validate-json"; prom; timeline ]) in
   Alcotest.(check int) "validate-json accepts both artifacts" 0 v.code;

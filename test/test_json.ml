@@ -1,9 +1,9 @@
-(* Core.Json unit tests plus the --json contract test: bench/main.exe is
+(* Json unit tests plus the --json contract test: bench/main.exe is
    spawned for one kernel and its output parsed back, pinning the
    documented schema (sorted keys, version field) so downstream tooling
    can depend on it. *)
 
-module J = Core.Json
+module J = Json
 
 (* Canonical rendering doubles as the equality witness: keys are sorted and
    floats round-trip, so two documents are J.equal iff their renderings

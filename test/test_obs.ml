@@ -6,7 +6,7 @@
      inside a same-domain parent at the next shallower depth (the collector
      is domain-local, so cross-domain parents are impossible by
      construction — the check documents it);
-   - obs-metrics/v1 round-trips through Core.Json parse/render;
+   - obs-metrics/v1 round-trips through Json parse/render;
    - the Chrome trace has one named track per domain and at least two
      domains once workers participate;
    - disabled telemetry is a no-op and records nothing;
@@ -254,35 +254,35 @@ let test_span_nesting () =
 (* --- JSON round-trips --- *)
 
 let roundtrip name doc =
-  let s = Core.Json.to_string ~pretty:true doc in
-  match Core.Json.of_string s with
+  let s = Json.to_string ~pretty:true doc in
+  match Json.of_string s with
   | Error e -> Alcotest.failf "%s did not parse back: %s" name e
   | Ok parsed ->
-    Alcotest.(check bool) (name ^ " round-trips") true (Core.Json.equal doc parsed)
+    Alcotest.(check bool) (name ^ " round-trips") true (Json.equal doc parsed)
 
 let test_metrics_json_roundtrip () =
   let report = workload 2 in
   let doc = Obs.Export.metrics_json report in
   roundtrip "obs-metrics/v1" doc;
-  (match Core.Json.member "schema" doc with
-  | Some (Core.Json.String s) ->
+  (match Json.member "schema" doc with
+  | Some (Json.String s) ->
     Alcotest.(check string) "schema field" "obs-metrics/v1" s
   | _ -> Alcotest.fail "schema field missing");
   let named_rows section =
-    match Core.Json.member section doc with
-    | Some (Core.Json.List rows) ->
+    match Json.member section doc with
+    | Some (Json.List rows) ->
       List.filter_map
         (fun row ->
-          match Core.Json.member "name" row with
-          | Some (Core.Json.String n) -> Some (n, row)
+          match Json.member "name" row with
+          | Some (Json.String n) -> Some (n, row)
           | _ -> None)
         rows
     | _ -> Alcotest.failf "%s section missing" section
   in
   (match List.assoc_opt "dp.epsilon_spent" (named_rows "gauges") with
   | Some row ->
-    (match Core.Json.member "value" row with
-    | Some (Core.Json.Number v) ->
+    (match Json.member "value" row with
+    | Some (Json.Number v) ->
       Alcotest.(check (float 0.)) "exported epsilon total" 2.0 v
     | _ -> Alcotest.fail "gauge value not a number")
   | None -> Alcotest.fail "dp.epsilon_spent not exported");
@@ -290,8 +290,8 @@ let test_metrics_json_roundtrip () =
   | Some row ->
     List.iter
       (fun field ->
-        match Core.Json.member field row with
-        | Some (Core.Json.Number _) -> ()
+        match Json.member field row with
+        | Some (Json.Number _) -> ()
         | _ -> Alcotest.failf "sketch row lacks numeric %s" field)
       [ "count"; "min"; "max"; "p50"; "p90"; "p95"; "p99" ]
   | None -> Alcotest.fail "test.obs.index sketch not exported");
@@ -316,12 +316,12 @@ let test_chrome_trace_tracks () =
     (List.length report.Obs.Metric.domains >= 2);
   let doc = Obs.Export.chrome_trace report in
   let events =
-    match Core.Json.member "traceEvents" doc with
-    | Some (Core.Json.List l) -> l
+    match Json.member "traceEvents" doc with
+    | Some (Json.List l) -> l
     | _ -> Alcotest.fail "traceEvents missing"
   in
   let field name ev =
-    match Core.Json.member name ev with
+    match Json.member name ev with
     | Some v -> v
     | None -> Alcotest.failf "trace event lacks %S" name
   in
@@ -329,14 +329,14 @@ let test_chrome_trace_tracks () =
   List.iter
     (fun ev ->
       (match field "tid" ev with
-      | Core.Json.Number t -> Hashtbl.replace tids t ()
+      | Json.Number t -> Hashtbl.replace tids t ()
       | _ -> Alcotest.fail "tid not a number");
       match field "ph" ev with
-      | Core.Json.String "M" ->
+      | Json.String "M" ->
         Alcotest.(check string)
           "metadata names the thread" "thread_name"
-          (match field "name" ev with Core.Json.String s -> s | _ -> "?")
-      | Core.Json.String "X" ->
+          (match field "name" ev with Json.String s -> s | _ -> "?")
+      | Json.String "X" ->
         ignore (field "ts" ev);
         ignore (field "dur" ev)
       | _ -> Alcotest.fail "unexpected event phase")

@@ -356,6 +356,55 @@ let test_theorem_ids_unique () =
   Alcotest.(check int) "unique ids" (List.length ids)
     (List.length (List.sort_uniq compare ids))
 
+(* --- the compiled query path on E2's query shapes --- *)
+
+(* E2's birthday model: 365 birthdays times 4096 noise values, n = 365. *)
+let birthday_model =
+  let attr name kind role = { Dataset.Schema.name; kind; role } in
+  let uniform k =
+    Prob.Distribution.uniform (List.init k (fun d -> Dataset.Value.Int d))
+  in
+  Dataset.Model.make
+    (Dataset.Schema.make
+       [
+         attr "birthday" Dataset.Value.Kint Dataset.Schema.Quasi_identifier;
+         attr "noise" Dataset.Value.Kint Dataset.Schema.Insensitive;
+       ])
+    [ ("birthday", uniform 365); ("noise", uniform 4096) ]
+
+(* Every count and isolation test the E2 game asks — the fixed-date
+   attacker and hash buckets at 16n, 4n, n, n/2 and n/8 — answered by the
+   compiled path and by the row-by-row interpreter, over 400 fresh tables
+   per attacker. The isolation tally guards against a vacuous run. *)
+let test_e2_queries_match_interpreter () =
+  let n = 365 in
+  let schema = Dataset.Model.schema birthday_model in
+  let attackers =
+    Pso.Attacker.fixed_value ~attr:"birthday" (Dataset.Value.Int 119)
+    :: List.map
+         (fun buckets -> Pso.Attacker.hash_bucket ~buckets)
+         [ 16 * n; 4 * n; n; n / 2; n / 8 ]
+  in
+  let r = Prob.Rng.create ~seed:20210621L () in
+  let isolations = ref 0 in
+  List.iter
+    (fun (attacker : Pso.Attacker.t) ->
+      for _ = 1 to 400 do
+        let x = Dataset.Model.sample_table r birthday_model n in
+        let y = Query.Mechanism.run trivial_mechanism r x in
+        let p = Pso.Attacker.attack attacker r y in
+        let expected = Query_reference.count x p in
+        let count = Query.Predicate.count schema p x in
+        let isolated = Query.Predicate.isolates schema p x in
+        if count <> expected || isolated <> (expected = 1) then
+          Alcotest.failf "%s: %s counts %d (isolates %b), interpreter %d"
+            attacker.Pso.Attacker.name (Query.Predicate.to_string p) count
+            isolated expected;
+        if isolated then incr isolations
+      done)
+    attackers;
+  Alcotest.(check bool) "some trials isolate" true (!isolations > 100)
+
 (* --- QCheck properties --- *)
 
 let qcheck =
@@ -388,6 +437,11 @@ let qcheck =
 let () =
   Alcotest.run "pso"
     [
+      ( "query oracle",
+        [
+          Alcotest.test_case "E2 shapes match the interpreter" `Quick
+            test_e2_queries_match_interpreter;
+        ] );
       ( "isolation",
         [
           Alcotest.test_case "formula" `Quick test_isolation_probability_formula;

@@ -613,11 +613,6 @@ let test_bitset_validation () =
 
 (* --- engines --- *)
 
-let with_engine e f =
-  let prev = P.engine () in
-  P.set_engine e;
-  Fun.protect ~finally:(fun () -> P.set_engine prev) f
-
 let engine_preds =
   [
     P.Atom (P.Eq ("a0", V.Int 1));
@@ -646,12 +641,9 @@ let test_engines_agree_on_fixtures () =
         (Array.length (B.indices (P.bits c t)));
       Alcotest.(check bool) (P.to_string p ^ " isolates") (interp = 1)
         (P.isolates_compiled c t);
-      List.iter
-        (fun e ->
-          with_engine e (fun () ->
-              Alcotest.(check int) (P.to_string p ^ " dispatched") interp
-                (P.count schema p t)))
-        [ P.Interpreted; P.Compiled; P.Checked ])
+      Alcotest.(check int) (P.to_string p ^ " count") interp (P.count schema p t);
+      Alcotest.(check bool) (P.to_string p ^ " Predicate.isolates") (interp = 1)
+        (P.isolates schema p t))
     engine_preds
 
 let test_engines_agree_on_nulls () =
@@ -690,32 +682,6 @@ let test_engine_cache_invalidation () =
   Alcotest.(check int) "selected (none match)" 0 (P.count_compiled c t'');
   Alcotest.(check int) "parent again after interleaving" 2 (P.count_compiled c t)
 
-let test_engine_of_string () =
-  List.iter
-    (fun (s, e) -> Alcotest.(check bool) s true (P.engine_of_string s = e))
-    [
-      ("interp", Some P.Interpreted);
-      ("bitset", Some P.Compiled);
-      ("check", Some P.Checked);
-      ("compiled", Some P.Compiled);
-      ("INTERP", Some P.Interpreted);
-      ("garbage", None);
-    ];
-  List.iter
-    (fun e ->
-      Alcotest.(check bool) (P.engine_name e) true
-        (P.engine_of_string (P.engine_name e) = Some e))
-    [ P.Interpreted; P.Compiled; P.Checked ]
-
-let test_checked_engine_full_stack () =
-  (* Re-run representative mechanism/curator/erasure fixtures with the
-     cross-validating engine: any interpreter/compiled divergence fails. *)
-  with_engine P.Checked (fun () ->
-      test_mechanism_exact_counts ();
-      test_curator_exact ();
-      test_erasure_recompute_forgets ();
-      test_erasure_cached_retains ())
-
 (* --- batched evaluation --- *)
 
 (* Telemetry on for one test, off again after (suite independence). *)
@@ -737,6 +703,97 @@ let batch_preds =
   [| a0; P.And (a0, a1); P.Or (P.Not a0, r); a0; P.And (a0, a1);
      P.And (P.Or (a0, a1), P.Not r); P.True; P.False |]
 
+(* The production query paths above the predicate layer, each held equal
+   to its row-by-row reference in Query_reference. The predicates mix
+   every atom kind, hash atoms included, so a fault in any compiled atom
+   test or connective shows up as a differing subpopulation or count. *)
+let reference_preds a b =
+  let eq attr v = P.Atom (P.Eq (attr, V.Int v)) in
+  let bucket buckets bucket salt =
+    P.Atom (P.Hash_bucket { buckets; bucket; salt })
+  in
+  [|
+    P.True;
+    P.False;
+    eq a 1;
+    P.Atom (P.Member (b, [ V.Int 0; V.Int 2; V.Int 5 ]));
+    P.Atom (P.Range (b, 1., 3.));
+    P.Atom (P.Fits (a, Dataset.Gvalue.Int_range (0, 2)));
+    bucket 3 1 99L;
+    P.Atom (P.Hash_bit { index = 7; salt = 42L });
+    P.And (eq a 1, P.Not (bucket 2 0 5L));
+    P.Or (eq b 3, P.Atom (P.Hash_bit { index = 3; salt = 11L }));
+  |]
+
+let test_reference_full_stack () =
+  (* Curator: every reply to a predicate equals the reply to its reference
+     subpopulation asked as row indices, under policies whose answers
+     depend on the subset's sum (Exact, Noisy at a fixed seed) and on its
+     exact membership (Audited). *)
+  let ct = curator_table 60 in
+  let cps = reference_preds "grp" "grp" in
+  let render = function
+    | Query.Curator.Answer x -> Printf.sprintf "Answer %h" x
+    | Query.Curator.Refusal r -> "Refusal " ^ r
+  in
+  List.iter
+    (fun (name, policy) ->
+      let make () =
+        Query.Curator.create ~rng:(rng ()) ~policy ~target:"trait" ct
+      in
+      let reference =
+        let c = make () in
+        Array.map
+          (fun p ->
+            render (Query.Curator.ask_subset c (Query_reference.matching ct p)))
+          cps
+      in
+      let asked =
+        let c = make () in
+        Array.map (fun p -> render (Query.Curator.ask c p)) cps
+      in
+      Alcotest.(check (array string)) (name ^ " ask") reference asked;
+      Alcotest.(check (array string))
+        (name ^ " ask_many") reference
+        (Array.map render (Query.Curator.ask_many (make ()) cps)))
+    [
+      ("exact", Query.Curator.Exact);
+      ("audited", Query.Curator.Audited);
+      ( "noisy",
+        Query.Curator.Noisy { per_query_epsilon = 0.5; total_epsilon = 100. } );
+    ];
+  (* Erasure: both implementations, after erasing a few rows. *)
+  let t = Lazy.force batch_table in
+  let ps = reference_preds "a0" "a1" in
+  let erased = [ 0; 3; 17; 250 ] in
+  List.iter
+    (fun (name, implementation) ->
+      let server = Query.Erasure.create implementation t in
+      List.iter (Query.Erasure.erase server) erased;
+      Array.iter
+        (fun p ->
+          Alcotest.(check int)
+            (name ^ " " ^ P.to_string p)
+            (Query_reference.erasure_count implementation t ~erased p)
+            (Query.Erasure.count server p))
+        ps)
+    [ ("recompute", Query.Erasure.Recompute); ("cached", Query.Erasure.Cached) ];
+  (* Mechanism: the batched exact counts, with and without a pool. *)
+  let expected = Query.Mechanism.Vector (Query_reference.batch_counts t ps) in
+  let b = Query.Mechanism.batch ps in
+  Alcotest.(check bool) "exact_counts_batch" true
+    (Query.Mechanism.run (Query.Mechanism.exact_counts_batch b) (rng ()) t
+    = expected);
+  let pool = Parallel.Pool.create ~jobs:2 () in
+  Fun.protect
+    ~finally:(fun () -> Parallel.Pool.shutdown pool)
+    (fun () ->
+      Alcotest.(check bool) "exact_counts_batch with a pool" true
+        (Query.Mechanism.run
+           (Query.Mechanism.exact_counts_batch ~pool b)
+           (rng ()) t
+        = expected))
+
 let test_count_many_matches_loop () =
   let t = Lazy.force batch_table in
   let cs = Array.map (fun p -> P.compile schema p) batch_preds in
@@ -753,20 +810,9 @@ let test_count_many_matches_loop () =
 
 let test_engine_counts_dispatch () =
   let t = Lazy.force batch_table in
-  let expected =
-    Array.map (fun p -> P.count_interpreted schema p t) batch_preds
-  in
-  List.iter
-    (fun e ->
-      with_engine e (fun () ->
-          Alcotest.(check (array int))
-            (P.engine_name e ^ " counts") expected
-            (Query.Engine.counts t batch_preds);
-          Alcotest.(check (array bool))
-            (P.engine_name e ^ " isolations")
-            (Array.map (fun n -> n = 1) expected)
-            (Query.Engine.isolations t batch_preds)))
-    [ P.Interpreted; P.Compiled; P.Checked ];
+  let expected = Array.map (Query_reference.count t) batch_preds in
+  Alcotest.(check (array int)) "counts" expected
+    (Query.Engine.counts t batch_preds);
   (* Reusing a caller-held compilation must not change answers. *)
   let cs = Array.map (fun p -> P.compile schema p) batch_preds in
   Alcotest.(check (array int)) "counts with ?compiled" expected
@@ -1069,8 +1115,7 @@ let () =
           Alcotest.test_case "compile raises eagerly" `Quick
             test_compile_unknown_attr_raises;
           Alcotest.test_case "cache invalidation" `Quick test_engine_cache_invalidation;
-          Alcotest.test_case "engine_of_string" `Quick test_engine_of_string;
-          Alcotest.test_case "checked full stack" `Quick test_checked_engine_full_stack;
+          Alcotest.test_case "reference full stack" `Quick test_reference_full_stack;
         ] );
       ( "batch",
         [
